@@ -42,9 +42,7 @@ class SolverConfig:
     decomp_path: str | None = None
     witness: bool = False
     budget: int | None = None
-    seed: int = 0
     verify: bool = False
-    threads: int = 1
 
 
 @dataclass
@@ -137,7 +135,7 @@ def run(instance: Instance, config: SolverConfig) -> Report:
         result = brute_force_steiner(g, terms)
     elif config.solver == "mwc":
         cut = _load_cut(instance, config)
-        result = solve_with_cut(g, terms, cut, threads=config.threads)
+        result = solve_with_cut(g, terms, cut)
     elif config.solver == "kfree":
         if config.decomp_path:
             kind, dec = parse_decomposition(_read(config.decomp_path))
@@ -187,11 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--decomp", dest="decomp_path", metavar="FILE")
     solve.add_argument("--witness", action="store_true", help="print tree edges")
     solve.add_argument("--budget", type=int, help="cut search depth limit")
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument(
         "--verify", action="store_true", help="independently re-check the witness"
     )
-    solve.add_argument("--threads", type=int, default=1)
 
     gen = sub.add_parser("generate", help="emit a random connected instance")
     gen.add_argument("--seed", type=int, default=0)
@@ -221,12 +217,8 @@ def main(argv=None) -> int:
             decomp_path=args.decomp_path,
             witness=args.witness,
             budget=args.budget,
-            seed=args.seed,
             verify=args.verify,
-            threads=args.threads,
         )
-        if config.threads < 1:
-            raise ValueError("--threads must be at least 1")
         instance = parse_pace(_read(args.instance))
         report = run(instance, config)
         sys.stdout.write(format_report(report))

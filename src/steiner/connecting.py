@@ -2,26 +2,29 @@
 
 The solver guesses which cut vertices the optimal tree uses and how the
 tree attaches to them.  Each attachment pattern -- a *connecting system*
--- is a tree on the used cut vertices plus contracted helper vertices
-whose neighborhoods record which cut subsets must be made reachable
-through single components.  Fixing a pattern reduces the optimization to
-a minimum-weight assignment between those subsets and component slots,
+-- is a spanning hypertree of the used cut vertices: tree edges between
+them plus helper hyperedges that stand for contracted components and
+record which cut subsets must be made reachable through single
+components.  Fixing a pattern reduces the optimization to a
+minimum-weight assignment between those subsets and component slots,
 where the slot weights come from small Steiner subproblems solved with
-Dreyfus-Wagner.
+Dreyfus-Wagner.  The components, their boundary graphs and the
+terminals' distances are computed once per solve, and only the best
+guess is rebuilt into a tree.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 
 from .cuts import MultiwayCut
-from .exact import SteinerResult, dreyfus_wagner
+from .exact import SteinerResult, _dijkstra, dreyfus_wagner
 from .graph import (
     INF,
     Graph,
     Subgraph,
+    boundary_graph,
     connected_components,
     edge_key,
     is_multiway_cut,
@@ -56,32 +59,13 @@ def is_self_reachable(h: Subgraph, vertices) -> bool:
     return any(vs <= comp for comp in connected_components(h))
 
 
-def _labeled_tree_edges(seq, n):
-    """Decode a Pruefer sequence over n labeled vertices into tree edges."""
-    if n == 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    degree = [1] * n
-    for s in seq:
-        degree[s] += 1
-    edges = []
-    for s in seq:
-        leaf = min(v for v in range(n) if degree[v] == 1)
-        edges.append((leaf, s))
-        degree[leaf] = 0
-        degree[s] -= 1
-    u, v = (x for x in range(n) if degree[x] == 1)
-    edges.append((u, v))
-    return edges
-
-
 def enumerate_connecting_systems(g: Graph, base):
-    """Yield every distinct connecting system for ``base`` exactly once.
+    """Yield every connecting system for ``base`` exactly once.
 
-    Labeled trees on the base plus m helper vertices (m up to |base|-1)
-    are enumerated through Pruefer sequences, filtered by the structural
-    conditions, and deduplicated under helper relabeling.
+    The systems are the spanning hypertrees of the base: sets of
+    hyperedges of size >= 2 that connect it without a cycle.  A hyperedge
+    of size 2 is either a tree edge between base vertices, offered only
+    when it is a graph edge, or a helper; every larger one is a helper.
     """
     base_sorted = sorted(set(base))
     if not base_sorted:
@@ -89,50 +73,68 @@ def enumerate_connecting_systems(g: Graph, base):
     for v in base_sorted:
         if v not in g:
             raise ValueError(f"base vertex {v} not in graph")
-    b = len(base_sorted)
-    seen = set()
-    for m in range(b):
-        n = b + m
-        helpers = set(range(b, n))
-        for seq in product(range(n), repeat=max(0, n - 2)):
-            # helper vertices need degree >= 2, i.e. an appearance in the
-            # sequence; skipping early avoids most decodes
-            if not helpers <= set(seq):
-                continue
-            edges = _labeled_tree_edges(seq, n)
-            adj = [[] for _ in range(n)]
-            for x, y in edges:
-                adj[x].append(y)
-                adj[y].append(x)
-            ok = True
-            subsets = []
-            for helper in range(b, n):
-                nbrs = adj[helper]
-                if len(nbrs) < 2 or any(x >= b for x in nbrs):
-                    ok = False
-                    break
-                subsets.append(frozenset(base_sorted[x] for x in nbrs))
-            if not ok:
-                continue
-            base_edges = []
-            for x, y in edges:
-                if x < b and y < b:
-                    u, v = base_sorted[x], base_sorted[y]
-                    if not g.has_edge(u, v):
-                        ok = False
-                        break
-                    base_edges.append(edge_key(u, v))
-            if not ok:
-                continue
-            key = (frozenset(base_edges), frozenset(subsets))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield ConnectingSystem(
-                frozenset(base_sorted),
-                tuple(sorted(subsets, key=sorted)),
-                frozenset(base_edges),
-            )
+    basev = frozenset(base_sorted)
+    for subsets, base_edges in _hypertrees(tuple(base_sorted), g.has_edge, {}):
+        yield ConnectingSystem(
+            basev, tuple(sorted(subsets, key=sorted)), frozenset(base_edges)
+        )
+
+
+def _hypertrees(vertices, has_edge, memo):
+    """Spanning hypertrees of the sorted tuple ``vertices``, each once,
+    as (helper hyperedges, base edges).
+
+    The smallest vertex r is the root, and the hyperedges at r split a
+    tree into branches.  The branch holding the second smallest vertex
+    is fixed first, by its vertex set and then by its shape; the other
+    branches form any hypertree on the vertices left over.
+    """
+    if len(vertices) == 1:
+        yield (), ()
+        return
+    root, first, *others = vertices
+    for size in range(len(others) + 1):
+        for extra in combinations(others, size):
+            rest = (root,) + tuple(v for v in others if v not in extra)
+            for subsets, edges in _branches(root, (first,) + extra, has_edge, memo):
+                for more_subsets, more_edges in _listed(rest, has_edge, memo):
+                    yield subsets + more_subsets, edges + more_edges
+
+
+def _branches(root, branch, has_edge, memo):
+    """Hypertrees on ``root`` plus ``branch`` in which ``root`` lies in
+    exactly one hyperedge.
+
+    That hyperedge meets ``branch`` in ``top``; every other branch vertex
+    hangs below exactly one vertex of ``top``, and the block under each
+    top vertex carries any hypertree of its own.
+    """
+    for size in range(1, len(branch) + 1):
+        for top in combinations(branch, size):
+            heads = [((frozenset((root,) + top),), ())]
+            if size == 1 and has_edge(root, top[0]):
+                heads.append(((), (edge_key(root, top[0]),)))
+            below = [v for v in branch if v not in top]
+            for owners in product(top, repeat=len(below)):
+                blocks = [
+                    (u,) + tuple(v for v, o in zip(below, owners) if o == u)
+                    for u in top
+                ]
+                parts = [_listed(tuple(sorted(block)), has_edge, memo) for block in blocks]
+                for head in heads:
+                    for chosen in product(*parts):
+                        yield (
+                            head[0] + tuple(x for part in chosen for x in part[0]),
+                            head[1] + tuple(x for part in chosen for x in part[1]),
+                        )
+
+
+def _listed(vertices, has_edge, memo):
+    """``_hypertrees`` of a proper subset, kept in ``memo`` for reuse."""
+    hit = memo.get(vertices)
+    if hit is None:
+        hit = memo[vertices] = list(_hypertrees(vertices, has_edge, memo))
+    return hit
 
 
 @dataclass(frozen=True)
@@ -157,39 +159,64 @@ def _cut_vertices(cut) -> frozenset[int]:
     return frozenset(cut)
 
 
-def _component_graph(g: Graph, cutset, comp) -> Graph:
-    vertices = set(comp)
-    edges = []
-    for u in sorted(comp):
-        for v in g.neighbors(u):
-            if v in comp:
-                if u < v:
-                    edges.append((u, v, g.weight(u, v)))
-            elif v in cutset:
-                vertices.add(v)
-                edges.append((u, v, g.weight(u, v)))
-    return Graph(vertices, edges)
+class _CutInvariants:
+    """What every guess of one solve shares, computed once.
 
+    The components of ``g - cut``, one boundary graph per component, the
+    terminal of each component with its distances to every vertex of
+    ``g``, each base's distances to those terminals, and the minimum
+    Steiner trees found inside components so far.
+    """
 
-def _component_steiner(g, cutset, comps, p, terms, memo) -> SteinerResult:
-    """Memoized minimum Steiner tree inside component p plus its boundary."""
-    key = (p, frozenset(terms))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    gp = _component_graph(g, cutset, comps[p])
-    if not frozenset(terms) <= gp.vertex_set:
-        res = SteinerResult(INF, g.empty_subgraph())
-    else:
-        local = dreyfus_wagner(gp, terms)
-        if local.feasible:
-            res = SteinerResult(
-                local.cost, Subgraph(g, local.tree.vertices, local.tree.edges)
+    def __init__(self, g: Graph, terms: frozenset[int], cutset: frozenset[int]):
+        self.g, self.terms, self.cutset = g, terms, cutset
+        self.comps = connected_components(g.without(cutset))
+        self.graphs = [boundary_graph(g, cutset, comp) for comp in self.comps]
+        self.terminal = []
+        for comp in self.comps:
+            inside = sorted(comp & terms)
+            if len(inside) > 1:
+                raise ValueError("input is not a multiway cut for the terminals")
+            self.terminal.append(inside[0] if inside else None)
+        self._dists = [None if t is None else _dijkstra(g, t)[0] for t in self.terminal]
+        self._reach = {}
+        self._trees = {}
+
+    def reach(self, basev: frozenset[int]) -> tuple[int | float, ...]:
+        """Per component, its terminal's distance to the nearest base
+        vertex; INF when it has no terminal or cannot reach the base."""
+        hit = self._reach.get(basev)
+        if hit is None:
+            hit = self._reach[basev] = tuple(
+                INF if dist is None else min(dist.get(v, INF) for v in basev)
+                for dist in self._dists
             )
-        else:
-            res = SteinerResult(INF, g.empty_subgraph())
-    memo[key] = res
-    return res
+        return hit
+
+    def steiner(self, p: int, want: frozenset[int]) -> SteinerResult:
+        """Minimum Steiner tree for ``want`` inside component p's boundary graph."""
+        key = (p, want)
+        hit = self._trees.get(key)
+        if hit is None:
+            gp = self.graphs[p]
+            local = dreyfus_wagner(gp, want) if want <= gp.vertex_set else None
+            if local is not None and local.feasible:
+                tree = Subgraph(self.g, local.tree.vertices, local.tree.edges)
+                hit = SteinerResult(local.cost, tree)
+            else:
+                hit = SteinerResult(INF, self.g.empty_subgraph())
+            self._trees[key] = hit
+        return hit
+
+
+def _invariants(g: Graph, terms, cutset, memo) -> _CutInvariants:
+    """The solve's invariants, kept in ``memo`` when one is given."""
+    if memo is None:
+        return _CutInvariants(g, terms, cutset)
+    found = memo.get(_CutInvariants)
+    if found is None or (found.g, found.terms, found.cutset) != (g, terms, cutset):
+        found = memo[_CutInvariants] = _CutInvariants(g, terms, cutset)
+    return found
 
 
 def build_weights(
@@ -199,6 +226,8 @@ def build_weights(
 
     Components are taken with respect to the full cut; shortest paths to
     terminals are measured in the whole graph against the used set.
+    Calls that share one ``memo`` dict on the same graph, terminals and
+    cut compute the components, distances and component trees once.
     """
     cutset = _cut_vertices(cut)
     basev = frozenset(base)
@@ -207,42 +236,23 @@ def build_weights(
         raise ValueError("base does not match the system")
     if not terms & cutset <= basev:
         raise ValueError("used set must contain the cut terminals")
-    if memo is None:
-        memo = {}
-    comps = connected_components(g.without(cutset))
-    q = len(comps)
+    inv = _invariants(g, terms, cutset, memo)
+    reach = inv.reach(basev)
     m = len(system.subsets)
-    comp_terminal = []
-    sp_dist = []
-    for comp in comps:
-        inside = sorted(comp & terms)
-        if len(inside) > 1:
-            raise ValueError("input is not a multiway cut for the terminals")
-        tp = inside[0] if inside else None
-        comp_terminal.append(tp)
-        if tp is None:
-            sp_dist.append(None)
-        else:
-            found = shortest_path(g, basev, tp)
-            sp_dist.append(None if found is None else found[1])
-    slots = tuple((p, j) for p in range(q) for j in range(m + 1))
+    slots = tuple((p, j) for p in range(len(inv.comps)) for j in range(m + 1))
     matrix = []
     for subset in system.subsets:
         row = []
-        for p, j in slots:
-            if j == 0:
-                if sp_dist[p] is None:
-                    row.append(INF)
-                else:
-                    want = subset | {comp_terminal[p]}
-                    best = _component_steiner(g, cutset, comps, p, want, memo)
-                    row.append(best.cost - sp_dist[p])
+        for p, reached in enumerate(reach):
+            if reached == INF:
+                row.append(INF)
             else:
-                best = _component_steiner(g, cutset, comps, p, subset, memo)
-                row.append(best.cost)
+                want = subset | {inv.terminal[p]}
+                row.append(inv.steiner(p, want).cost - reached)
+            row.extend([inv.steiner(p, subset).cost] * m)
         matrix.append(tuple(row))
     return AssignmentWeights(
-        system.subsets, slots, tuple(matrix), tuple(comps)
+        system.subsets, slots, tuple(matrix), tuple(inv.comps)
     )
 
 
@@ -267,36 +277,33 @@ def reconstruct_tree(
     paths for the uncovered terminals, then returns a spanning tree of
     the component containing the used set and the terminals.  Returns
     None when some terminal cannot be attached in this iteration.
+    ``memo`` is shared with ``build_weights``.
     """
     cutset = _cut_vertices(cut)
     basev = frozenset(base)
     terms = frozenset(terminals)
-    if memo is None:
-        memo = {}
-    comps = connected_components(g.without(cutset))
+    inv = _invariants(g, terms, cutset, memo)
     edges = set(system.base_edges)
     vertices = set(basev) | terms
     covered = set()
     for i, (p, j) in matching:
         subset = system.subsets[i]
-        comp_terms = sorted(comps[p] & terms)
         if j == 0:
-            if not comp_terms:
+            if inv.terminal[p] is None:
                 raise ValueError("matching claims a terminal in a terminal-free component")
-            want = subset | {comp_terms[0]}
+            want = subset | {inv.terminal[p]}
             covered.add(p)
         else:
             want = subset
-        piece = _component_steiner(g, cutset, comps, p, want, memo)
+        piece = inv.steiner(p, want)
         if not piece.feasible:
             raise ValueError("matching uses an infeasible slot")
         edges |= piece.tree.edges
         vertices |= piece.tree.vertices
-    for p, comp in enumerate(comps):
-        inside = sorted(comp & terms)
-        if not inside or p in covered:
+    for p, terminal in enumerate(inv.terminal):
+        if terminal is None or p in covered:
             continue
-        found = shortest_path(g, basev, inside[0])
+        found = shortest_path(g, basev, terminal)
         if found is None:
             return None
         path, _ = found
@@ -313,12 +320,17 @@ def reconstruct_tree(
     return None
 
 
-def solve_with_cut(g: Graph, terminals, cut, threads: int = 1) -> SteinerResult:
+def solve_with_cut(g: Graph, terminals, cut) -> SteinerResult:
     """Optimal Steiner tree given a multiway cut for the terminals.
 
-    Iterates over every used subset of the cut containing its terminals
-    and every connecting system on it; each iteration contributes one
-    reconstructed candidate and the minimum over all of them is optimal.
+    Guesses every used subset of the cut containing its terminals and
+    every connecting system on it.  A guess's value is the cost of its
+    base edges, plus its matching total, plus each component terminal's
+    distance to the used set: the cost of the pieces its tree would be
+    rebuilt from.  That is at least the rebuilt tree's cost, which is at
+    least the optimum, and the optimal guess attains the optimum.  So
+    only the first guess of lowest value is rebuilt, and its tree must
+    cost exactly that value.
     """
     cutset = _cut_vertices(cut)
     terms = frozenset(terminals)
@@ -331,35 +343,35 @@ def solve_with_cut(g: Graph, terminals, cut, threads: int = 1) -> SteinerResult:
     if not any(terms <= comp for comp in connected_components(g)):
         return SteinerResult(INF, g.empty_subgraph())
 
+    memo: dict = {}
+    inv = _invariants(g, terms, cutset, memo)
     forced = terms & cutset
     optional = sorted(cutset - terms)
-    memo: dict = {}
-    tasks = []
+    best_value, best = INF, None
     for size in range(len(optional) + 1):
         for combo in combinations(optional, size):
             basev = forced | frozenset(combo)
             if not basev:
                 continue  # with >= 2 terminals any tree must meet the cut
+            reach = inv.reach(basev)
+            paths = sum(
+                d for d, t in zip(reach, inv.terminal) if t is not None
+            )
+            if paths == INF:
+                continue  # some terminal cannot reach the used set
             for system in enumerate_connecting_systems(g, basev):
-                tasks.append((basev, system))
-
-    def evaluate(task):
-        basev, system = task
-        weights = build_weights(g, terms, cutset, basev, system, memo)
-        matched = minimum_weight_matching(weights)
-        if matched is None:
-            return None
-        matching, _ = matched
-        return reconstruct_tree(g, terms, cutset, basev, system, matching, memo)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, tasks))
-    else:
-        results = [evaluate(task) for task in tasks]
-
-    best = SteinerResult(INF, g.empty_subgraph())
-    for res in results:
-        if res is not None and res.cost < best.cost:
-            best = res
-    return best
+                weights = build_weights(g, terms, cutset, basev, system, memo)
+                matched = minimum_weight_matching(weights)
+                if matched is None:
+                    continue
+                matching, total = matched
+                value = paths + total + sum(g.weight(u, v) for u, v in system.base_edges)
+                if value < best_value:
+                    best_value, best = value, (basev, system, matching)
+    if best is None:
+        return SteinerResult(INF, g.empty_subgraph())
+    basev, system, matching = best
+    tree = reconstruct_tree(g, terms, cutset, basev, system, matching, memo)
+    if tree is None or tree.cost != best_value:
+        raise AssertionError("the rebuilt tree does not cost its guess's value")
+    return tree

@@ -314,18 +314,12 @@ def minimum_spanning_tree(g) -> Subgraph:
     return Subgraph(parent, frozenset(vertices), frozenset(chosen))
 
 
-def component_graph(g: Graph, cut, index: int) -> Graph:
-    """The graph induced on one component of ``g - cut`` plus its boundary.
+def boundary_graph(g: Graph, cut, comp) -> Graph:
+    """The graph induced on ``comp``, a component of ``g - cut``, plus its boundary.
 
     The boundary consists of the edges between the component and ``cut``
     together with their cut endpoints; edges inside ``cut`` are excluded.
-    Components are indexed in sorted order (smallest member first).
     """
-    cutset = frozenset(cut)
-    comps = connected_components(g.without(cutset))
-    if not 0 <= index < len(comps):
-        raise ValueError(f"component index {index} out of range (q={len(comps)})")
-    comp = comps[index]
     vertices = set(comp)
     edges = []
     for u in sorted(comp):
@@ -333,10 +327,22 @@ def component_graph(g: Graph, cut, index: int) -> Graph:
             if v in comp:
                 if u < v:
                     edges.append((u, v, g.weight(u, v)))
-            elif v in cutset:
+            elif v in cut:
                 vertices.add(v)
                 edges.append((u, v, g.weight(u, v)))
     return Graph(vertices, edges)
+
+
+def component_graph(g: Graph, cut, index: int) -> Graph:
+    """``boundary_graph`` of one component of ``g - cut``.
+
+    Components are indexed in sorted order (smallest member first).
+    """
+    cutset = frozenset(cut)
+    comps = connected_components(g.without(cutset))
+    if not 0 <= index < len(comps):
+        raise ValueError(f"component index {index} out of range (q={len(comps)})")
+    return boundary_graph(g, cutset, comps[index])
 
 
 def is_multiway_cut(g: Graph, terminals, cut) -> bool:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,8 +12,8 @@ from steiner.connecting import (
     solve_with_cut,
 )
 from steiner.cuts import minimum_multiway_cut
-from steiner.exact import brute_force_steiner
-from steiner.graph import INF, Graph, Subgraph, shortest_path
+from steiner.exact import brute_force_steiner, dreyfus_wagner
+from steiner.graph import INF, Graph, Subgraph, is_multiway_cut, shortest_path
 
 from helpers import brute_force_connecting_systems, random_graph, random_instance
 
@@ -269,9 +270,46 @@ def test_solve_with_cut_edge_cases():
         solve_with_cut(g, {1, 3}, set())  # not a cut
 
 
-def test_solve_with_cut_threads():
-    inst = random_instance(11, nmax=9, kmax=4)
-    cut = minimum_multiway_cut(inst.graph, inst.terminals, 3)
-    serial = solve_with_cut(inst.graph, inst.terminals, cut)
-    parallel = solve_with_cut(inst.graph, inst.terminals, cut, threads=4)
-    assert serial.cost == parallel.cost
+def test_enumeration_counts_on_complete_bases():
+    # spanning hypertrees of a complete base, each size-2 hyperedge counted
+    # twice (graph edge or helper): 1, 2, 13, 153, 2656, 61393
+    for size, count in ((1, 1), (2, 2), (3, 13), (4, 153), (5, 2656), (6, 61393)):
+        base = range(1, size + 1)
+        complete = Graph(base, [(u, v, 1) for u, v in combinations(base, 2)])
+        assert sum(1 for _ in enumerate_connecting_systems(complete, base)) == count
+
+
+def test_enumeration_census_at_five():
+    # b=5 against the oracle, on a graph with about half of the base edges;
+    # the oracle decodes every Pruefer sequence on up to 9 vertices
+    rng = random.Random(5)
+    pairs = list(combinations(range(1, 6), 2))
+    half = Graph(range(1, 6), [(u, v, 1) for u, v in rng.sample(pairs, 5)])
+    ours = [
+        (s.base_edges, frozenset(s.subsets))
+        for s in enumerate_connecting_systems(half, range(1, 6))
+    ]
+    assert len(ours) == len(set(ours))
+    assert set(ours) == brute_force_connecting_systems(half, range(1, 6))
+
+
+def test_solve_with_cut_planted_five_cut():
+    # a planted cut of 5 vertices with six components of five, one terminal each
+    rng = random.Random(55)
+    cut = list(range(1, 6))
+    edges, terms = [], set()
+    for c in range(6):
+        comp = list(range(6 + 5 * c, 11 + 5 * c))
+        for i in range(1, 5):
+            edges.append((comp[i], rng.choice(comp[:i]), rng.randint(1, 20)))
+        edges.append((*rng.sample(comp, 2), rng.randint(1, 20)))
+        for x in rng.sample(cut, rng.randint(2, 5)):
+            edges.append((x, rng.choice(comp), rng.randint(1, 20)))
+        terms.add(rng.choice(comp))
+    edges += [(1, 2, 3), (3, 4, 5)]
+    g = Graph(range(1, 36), edges)
+    assert is_multiway_cut(g, terms, cut)
+    res = solve_with_cut(g, terms, cut)
+    assert res.cost == dreyfus_wagner(g, terms).cost
+    assert terms <= res.tree.vertices and res.tree.is_connected()
+    assert res.tree.cost == res.cost
