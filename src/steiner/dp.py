@@ -33,10 +33,6 @@ from .partitions import (
 )
 from .representatives import PartitionTable, reduce_partitions, reduce_subgraphs
 
-# A node table maps each used-boundary subset Z to a PartitionTable over Z.
-NodeTables = dict
-
-
 def leaf_table(g: Graph, inner, boundary) -> PartitionTable:
     """Representative subgraph families of g[inner | boundary] on the boundary.
 
@@ -88,11 +84,7 @@ def _empty_boundary_table(track: bool, parent: Graph) -> PartitionTable:
     return table
 
 
-def _get(tables: NodeTables, z) -> PartitionTable | None:
-    return tables.get(frozenset(z))
-
-
-def introduce_vertex(child: NodeTables, v: int, z, terminals, track: bool = False) -> PartitionTable:
+def introduce_vertex(child: dict, v: int, z, terminals, track: bool = False) -> PartitionTable:
     """Table after introducing vertex v, for used-boundary set z.
 
     An introduced vertex inside z joins every child entry as a fresh
@@ -102,7 +94,7 @@ def introduce_vertex(child: NodeTables, v: int, z, terminals, track: bool = Fals
     zset = frozenset(z)
     out = PartitionTable(zset, track_witness=track)
     if v in zset:
-        src = _get(child, zset - {v})
+        src = child.get(zset - {v})
         if src is not None:
             for p, w in src.entries():
                 wit = src.witness(p)
@@ -110,14 +102,14 @@ def introduce_vertex(child: NodeTables, v: int, z, terminals, track: bool = Fals
                     wit = wit.with_vertices([v])
                 out.add(add_singleton(p, v), w, wit)
     elif v not in terminals:
-        src = _get(child, zset)
+        src = child.get(zset)
         if src is not None:
             for p, w in src.entries():
                 out.add(p, w, src.witness(p))
     return out
 
 
-def forget_vertex(child: NodeTables, v: int, z, track: bool = False) -> PartitionTable:
+def forget_vertex(child: dict, v: int, z, track: bool = False) -> PartitionTable:
     """Table after forgetting vertex v for used-boundary set z.
 
     Solutions that never used v carry over; solutions that used v drop it
@@ -126,11 +118,11 @@ def forget_vertex(child: NodeTables, v: int, z, track: bool = False) -> Partitio
     """
     zset = frozenset(z)
     out = PartitionTable(zset, track_witness=track)
-    src = _get(child, zset)
+    src = child.get(zset)
     if src is not None:
         for p, w in src.entries():
             out.add(p, w, src.witness(p))
-    src = _get(child, zset | {v})
+    src = child.get(zset | {v})
     if src is not None:
         for p, w in src.entries():
             if p.is_singleton(v):
@@ -139,12 +131,12 @@ def forget_vertex(child: NodeTables, v: int, z, track: bool = False) -> Partitio
     return out
 
 
-def introduce_edge(child: NodeTables, edge, weight: int, z, track: bool = False) -> PartitionTable:
+def introduce_edge(child: dict, edge, weight: int, z, track: bool = False) -> PartitionTable:
     """Table after making one edge available, for used-boundary set z."""
     u, v = edge
     zset = frozenset(z)
     out = PartitionTable(zset, track_witness=track)
-    src = _get(child, zset)
+    src = child.get(zset)
     if src is None:
         return out
     use_edge = u in zset and v in zset
@@ -162,7 +154,7 @@ def introduce_edge(child: NodeTables, edge, weight: int, z, track: bool = False)
     return out
 
 
-def join_tables(left: NodeTables, right: NodeTables, z, track: bool = False) -> PartitionTable:
+def join_tables(left: dict, right: dict, z, track: bool = False) -> PartitionTable:
     """Table combining two children over the same bag, for used-boundary z.
 
     Partitions join and weights add; the children's edge sets are
@@ -170,13 +162,14 @@ def join_tables(left: NodeTables, right: NodeTables, z, track: bool = False) -> 
     """
     zset = frozenset(z)
     out = PartitionTable(zset, track_witness=track)
-    a = _get(left, zset)
-    b = _get(right, zset)
+    a = left.get(zset)
+    b = right.get(zset)
     if a is None or b is None:
         return out
+    right_entries = b.entries()
     for p1, w1 in a.entries():
         wit1 = a.witness(p1)
-        for p2, w2 in b.entries():
+        for p2, w2 in right_entries:
             wit = None
             if track:
                 wit2 = b.witness(p2)
@@ -202,7 +195,7 @@ def compute_tables(g: Graph, terminals, dec: NiceDecomposition, track: bool = Fa
     pruned to a representative set right after it is computed.
     """
     terms = frozenset(terminals)
-    tables: dict[int, NodeTables] = {}
+    tables: dict[int, dict] = {}
     below: dict[int, frozenset] = {}
     handled_leaves = {
         dec.children[n][0] for n in dec.nodes if dec.kinds.get(n) == LEAF_INTRODUCE
@@ -214,7 +207,7 @@ def compute_tables(g: Graph, terminals, dec: NiceDecomposition, track: bool = Fa
         if node in handled_leaves:
             continue
         kind = dec.kinds[node]
-        node_tables: NodeTables = {}
+        node_tables = {}
         if kind == LEAF:
             for z in _z_subsets(bag, terms):
                 table = PartitionTable(z, track_witness=track)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from .decomposition import Decomposition, width
 from .graph import Graph
 
+MAX_NODES = 1_000_000  # every declared vertex is built, so the count is capped
+
 
 class FormatError(ValueError):
     """Malformed input text; carries the offending line number."""
@@ -82,6 +84,8 @@ def parse_pace(text: str, name: str = "instance") -> Instance:
         elif section == "Graph":
             if head == "Nodes" and len(tokens) == 2:
                 n_nodes = _int(tokens[1], no)
+                if n_nodes > MAX_NODES:
+                    raise FormatError(f"{n_nodes} nodes exceed the limit of {MAX_NODES}", no)
             elif head == "Edges" and len(tokens) == 2:
                 n_edges = _int(tokens[1], no)
             elif head == "E" and len(tokens) == 4:

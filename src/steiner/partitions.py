@@ -9,6 +9,8 @@ machinery at a few word operations per block.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .graph import Subgraph, connected_components
 
 MAX_UNIVERSE = 62
@@ -88,8 +90,7 @@ class Partition:
 
     def is_singleton(self, v: int) -> bool:
         """True iff ``v`` forms a block on its own."""
-        bit = 1 << self.universe.index(v)
-        return bit in self.blocks
+        return 1 << self.universe.index(v) in self.blocks
 
     @property
     def key(self) -> tuple[int, ...]:
@@ -120,27 +121,20 @@ def _require_same_universe(p: Partition, q: Partition):
 
 
 def join(p: Partition, q: Partition) -> Partition:
-    """Finest partition coarser than both (lattice join), via union-find."""
+    """Finest partition coarser than both: each block of q absorbs those it meets."""
     _require_same_universe(p, q)
-    n = len(p.universe)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for mask in p.blocks + q.blocks:
-        it = _bits(mask)
-        anchor = find(next(it))
-        for i in it:
-            parent[find(i)] = anchor
-    groups: dict[int, int] = {}
-    for i in range(n):
-        r = find(i)
-        groups[r] = groups.get(r, 0) | (1 << i)
-    return Partition(p.universe, groups.values())
+    blocks = p.blocks
+    for qb in q.blocks:
+        merged = qb
+        rest = []
+        for m in blocks:
+            if m & qb:
+                merged |= m
+            else:
+                rest.append(m)
+        rest.append(merged)
+        blocks = rest
+    return Partition(p.universe, blocks)
 
 
 def refines(p: Partition, q: Partition) -> bool:
@@ -154,12 +148,15 @@ def refines(p: Partition, q: Partition) -> bool:
 
 def restrict(p: Partition, keep) -> Partition:
     """Partition of ``keep`` obtained by intersecting blocks and dropping empties."""
-    keepset = frozenset(keep)
-    if not keepset <= set(p.universe):
+    keep = frozenset(keep)
+    uni, blocks = p.universe, p.blocks
+    dropped = [i for i in reversed(range(len(uni))) if uni[i] not in keep]
+    if len(uni) - len(dropped) != len(keep):
         raise ValueError("restriction set must be a subset of the universe")
-    return Partition.from_sets(
-        keepset, [set(b) & keepset for b in p.as_sets()]
-    )
+    for i in dropped:  # highest first, so lower positions stay put
+        low = (1 << i) - 1
+        blocks = [(m & low) | (m >> 1 & ~low) for m in blocks]
+    return Partition(tuple(v for v in uni if v in keep), blocks)
 
 
 def project(f: Subgraph, vertices) -> Partition:
@@ -183,18 +180,26 @@ def project(f: Subgraph, vertices) -> Partition:
 
 def pair_partition(universe, u: int, v: int) -> Partition:
     """Partition of ``universe`` with u, v grouped and all others singleton."""
-    uni = frozenset(universe)
-    groups = [{u, v}] + [{x} for x in uni - {u, v}]
-    return Partition.from_sets(uni, groups)
+    uni = tuple(sorted(universe))
+    if len(uni) > MAX_UNIVERSE:
+        raise ValueError(f"universe larger than {MAX_UNIVERSE} elements")
+    if u not in uni or v not in uni:
+        raise ValueError(f"pair ({u}, {v}) outside the universe")
+    pair = 1 << uni.index(u) | 1 << uni.index(v)
+    return Partition(uni, [pair] + [1 << i for i in range(len(uni)) if not pair >> i & 1])
 
 
 def add_singleton(p: Partition, v: int) -> Partition:
     """Extend the universe with a fresh element forming its own block."""
-    if v in p.universe:
+    uni = p.universe
+    if v in uni:
         raise ValueError(f"element {v} already in the universe")
-    return Partition.from_sets(
-        set(p.universe) | {v}, p.as_sets() + [frozenset([v])]
-    )
+    if len(uni) >= MAX_UNIVERSE:
+        raise ValueError(f"universe larger than {MAX_UNIVERSE} elements")
+    i = bisect_left(uni, v)
+    low = (1 << i) - 1
+    blocks = [(m & low) | (m & ~low) << 1 for m in p.blocks] + [1 << i]
+    return Partition(uni[:i] + (v,) + uni[i:], blocks)
 
 
 def enumerate_partitions(universe):

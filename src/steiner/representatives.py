@@ -68,20 +68,16 @@ class PartitionTable:
 def cut_row(partition: Partition) -> int:
     """GF(2) row of a partition over the bipartitions fixing its first element.
 
-    Column mask c encodes which of the remaining universe elements sit on
-    the far side; the bit is 1 iff every block fits entirely into one of
-    the two sides.
+    Column c puts the elements of mask ``c << 1`` on the far side; its bit
+    is 1 iff every block fits into one side, so the ones are the columns
+    ``far >> 1`` for ``far`` a union of blocks other than the first.
     """
-    n = len(partition.universe)
-    if n == 0:
-        return 1
-    full = (1 << n) - 1
+    fars = [0]
+    for b in partition.blocks[1:]:
+        fars += [f | b for f in fars]
     row = 0
-    for col in range(1 << (n - 1)):
-        far = col << 1  # first element always on the near side
-        near = full ^ far
-        if all(b & far == 0 or b & near == 0 for b in partition.blocks):
-            row |= 1 << col
+    for far in fars:
+        row |= 1 << (far >> 1)
     return row
 
 
@@ -94,9 +90,7 @@ def reduce_partitions(table: PartitionTable) -> PartitionTable:
     if len(table.universe) > 62:
         raise ValueError("universe too large to reduce")
     out = PartitionTable(table.universe, table.tracks_witness)
-    ranked = sorted(
-        table.entries(), key=lambda item: (item[1], item[0].key)
-    )
+    ranked = sorted(table._weights.items(), key=lambda item: (item[1], item[0].key))
     basis: dict[int, int] = {}  # pivot bit -> reduced row
     for partition, weight in ranked:
         row = cut_row(partition)

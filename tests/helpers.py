@@ -213,6 +213,63 @@ def brute_force_connecting_systems(g, base):
     return found
 
 
+def hypertree_connecting_systems(g, base):
+    """Independent enumeration of connecting systems by rank sum.
+
+    A connecting system is a set of hyperedges on the base that connects
+    it with rank sum sum(|e| - 1) equal to |base| - 1.  Candidates are the
+    base edges present in g plus every base subset of size >= 2 as a
+    helper; each candidate set of the right rank sum is kept iff its own
+    union-find joins the whole base.  Same canonical form as
+    ``brute_force_connecting_systems``.
+    """
+    base_sorted = sorted(base)
+    b = len(base_sorted)
+    candidates = [
+        ("edge", pair)
+        for pair in combinations(base_sorted, 2)
+        if g.has_edge(*pair)
+    ]
+    candidates += [
+        ("helper", frozenset(sub))
+        for size in range(2, b + 1)
+        for sub in combinations(base_sorted, size)
+    ]
+    found = set()
+
+    def connects(chosen):
+        root = {v: v for v in base_sorted}
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for _, members in chosen:
+            first, *others = members
+            for v in others:
+                root[find(v)] = find(first)
+        return len({find(v) for v in base_sorted}) <= 1
+
+    def pick(start, budget, chosen):
+        if budget == 0:
+            if connects(chosen):
+                found.add((
+                    frozenset(e for kind, e in chosen if kind == "edge"),
+                    frozenset(e for kind, e in chosen if kind == "helper"),
+                ))
+            return
+        for i in range(start, len(candidates)):
+            rank = len(candidates[i][1]) - 1
+            if rank <= budget:
+                chosen.append(candidates[i])
+                pick(i + 1, budget - rank, chosen)
+                chosen.pop()
+
+    pick(0, max(0, b - 1), [])
+    return found
+
+
 def _decode_pruefer(seq, n):
     if n == 1:
         return []

@@ -15,7 +15,12 @@ from steiner.cuts import minimum_multiway_cut
 from steiner.exact import brute_force_steiner, dreyfus_wagner
 from steiner.graph import INF, Graph, Subgraph, is_multiway_cut, shortest_path
 
-from helpers import brute_force_connecting_systems, random_graph, random_instance
+from helpers import (
+    brute_force_connecting_systems,
+    hypertree_connecting_systems,
+    random_graph,
+    random_instance,
+)
 
 
 def test_self_reachable_examples():
@@ -279,9 +284,21 @@ def test_enumeration_counts_on_complete_bases():
         assert sum(1 for _ in enumerate_connecting_systems(complete, base)) == count
 
 
+def test_hypertree_oracle_matches_pruefer_oracle():
+    # the two independent census oracles agree on random graphs, b = 1..4
+    rng = random.Random(404)
+    for b in (1, 2, 3, 4):
+        for _ in range(8):
+            g = random_graph(rng, b, rng.randint(0, b * (b - 1) // 2))
+            base = range(1, b + 1)
+            assert hypertree_connecting_systems(g, base) == (
+                brute_force_connecting_systems(g, base)
+            )
+
+
 def test_enumeration_census_at_five():
-    # b=5 against the oracle, on a graph with about half of the base edges;
-    # the oracle decodes every Pruefer sequence on up to 9 vertices
+    # b=5 against the rank-sum oracle, on a graph with about half of the
+    # base edges (the Pruefer oracle would decode 9^7 sequences here)
     rng = random.Random(5)
     pairs = list(combinations(range(1, 6), 2))
     half = Graph(range(1, 6), [(u, v, 1) for u, v in rng.sample(pairs, 5)])
@@ -290,7 +307,7 @@ def test_enumeration_census_at_five():
         for s in enumerate_connecting_systems(half, range(1, 6))
     ]
     assert len(ours) == len(set(ours))
-    assert set(ours) == brute_force_connecting_systems(half, range(1, 6))
+    assert set(ours) == hypertree_connecting_systems(half, range(1, 6))
 
 
 def test_solve_with_cut_planted_five_cut():

@@ -1,7 +1,12 @@
+import os
 import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import steiner
 from steiner.cli import main, run, SolverConfig, verify_tree
 from steiner.cuts import minimum_multiway_cut
 from steiner.decomposition import (
@@ -63,6 +68,39 @@ def test_parse_errors():
         parse_pace("SECTION Graph\nNodes 1\nBOGUS\nEND\nEOF\n")
     except FormatError as exc:
         assert exc.line == 3
+
+
+def test_parse_rejects_huge_node_count():
+    # a declared count is checked before any vertex is built: the parse runs
+    # in a child limited to 1 GiB of address space and must fail fast
+    text = (
+        "SECTION Graph\nNodes 200000000\nEdges 1\nE 1 2 1\nEND\n"
+        "SECTION Terminals\nT 1\nEND\nEOF\n"
+    )
+    code = (
+        "import sys\n"
+        "from steiner.io import FormatError, parse_pace\n"
+        "try:\n"
+        "    parse_pace(sys.stdin.read())\n"
+        "except FormatError as exc:\n"
+        "    print('FormatError', exc.line)\n"
+    )
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(pathlib.Path(steiner.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        input=text,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit_memory,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["FormatError", "2"]
 
 
 def test_duplicate_edge_collapses_to_minimum():

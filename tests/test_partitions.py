@@ -1,9 +1,11 @@
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from steiner.graph import Graph, Subgraph, connected_components
 from steiner.partitions import (
+    MAX_UNIVERSE,
     Partition,
     add_singleton,
     enumerate_partitions,
@@ -66,6 +68,14 @@ def test_join_laws_exhaustive():
                 assert join(pq, r) == join(p, join(q, r))
 
 
+def test_join_against_lattice_oracle_at_five():
+    parts = list(enumerate_partitions((3, 7, 10, 12, 20)))
+    assert len(parts) == 52
+    for p in parts:
+        for q in parts:
+            assert join(p, q) == brute_join(p, q)
+
+
 def test_refines_examples_and_order():
     u = (1, 2)
     assert refines(P(u, {1, 2}), P(u, {1}, {2}))
@@ -112,6 +122,40 @@ def test_restrict_examples():
     p = P(u, {1, 2}, {3})
     assert restrict(p, u) == p
     assert restrict(P(u, {1, 2, 3}), {2}) == P((2,), {2})
+
+
+def test_kernel_against_set_definitions():
+    # non-contiguous ids, so positions and vertex ids differ
+    ids = (3, 7, 10, 12, 20, 31)
+    for size in range(len(ids) + 1):
+        uni = ids[:size]
+        for p in enumerate_partitions(uni):
+            blocks = p.as_sets()
+            for r in range(size + 1):
+                for keep in combinations(uni, r):
+                    kept = set(keep)
+                    expected = Partition.from_sets(kept, [b & kept for b in blocks])
+                    assert restrict(p, keep) == expected
+            for v in (1, 11, 40):  # below, between and above
+                expected = Partition.from_sets(uni + (v,), blocks + [{v}])
+                assert add_singleton(p, v) == expected
+        for u, v in combinations_with_replacement(uni, 2):
+            groups = [{u, v}] + [{x} for x in uni if x not in (u, v)]
+            assert pair_partition(uni, u, v) == Partition.from_sets(uni, groups)
+
+
+def test_kernel_errors():
+    p = P((1, 2, 3), {1, 2}, {3})
+    with pytest.raises(ValueError):
+        restrict(p, {1, 4})
+    with pytest.raises(ValueError):
+        add_singleton(p, 2)
+    with pytest.raises(ValueError):
+        add_singleton(Partition.singletons(range(MAX_UNIVERSE)), MAX_UNIVERSE)
+    with pytest.raises(ValueError):
+        pair_partition((1, 2, 3), 1, 4)
+    with pytest.raises(ValueError):
+        pair_partition(range(MAX_UNIVERSE + 1), 0, 1)
 
 
 def test_enumeration_matches_bell_numbers():
