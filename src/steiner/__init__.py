@@ -26,7 +26,6 @@ from .connecting import (
 )
 from .representatives import (
     PartitionTable,
-    WitnessedEntry,
     is_representative,
     reduce_partitions,
     reduce_subgraphs,
@@ -77,7 +76,6 @@ __all__ = [
     "reconstruct_tree",
     "solve_with_cut",
     "PartitionTable",
-    "WitnessedEntry",
     "is_representative",
     "reduce_partitions",
     "reduce_subgraphs",

@@ -75,6 +75,7 @@ class Decomposition:
         return not self.children[node]
 
     def postorder(self) -> list[int]:
+        """Children before parents, siblings in ascending id order."""
         order = []
         stack = [(self.root, False)]
         while stack:
@@ -83,7 +84,7 @@ class Decomposition:
                 order.append(node)
             else:
                 stack.append((node, True))
-                for c in reversed(self.children[node]):
+                for c in sorted(self.children[node], reverse=True):
                     stack.append((c, False))
         return order
 
@@ -391,28 +392,31 @@ def to_nice(g: Graph, terminals, dec: Decomposition) -> NiceDecomposition:
             cur = x
         return cur
 
-    def build(node):
+    # Bottom-up, siblings in ascending order: each node's nice part is
+    # built and chained to its parent's bag before the next sibling's.
+    tops: dict[int, int] = {}
+    for node in dec.postorder():
         kids = dec.children[node]
         bag = dec.bags[node]
         if not kids:
-            leaf = new_node(bag, LEAF)
+            cur = new_node(bag, LEAF)
             inner = bag & L
             for v in inner:
-                leaf_home[v] = leaf
+                leaf_home[v] = cur
             if inner:
                 x = new_node(bag - L, LEAF_INTRODUCE)
-                children[x] = [leaf]
-                return x
-            return leaf
-        tops = [chain(bag, build(c)) for c in sorted(kids)]
-        cur = tops[0]
-        for nxt in tops[1:]:
-            j = new_node(bag, JOIN)
-            children[j] = [cur, nxt]
-            cur = j
-        return cur
-
-    root = build(dec.root)
+                children[x] = [cur]
+                cur = x
+        else:
+            below = [tops.pop(c) for c in sorted(kids)]
+            cur = below[0]
+            for nxt in below[1:]:
+                j = new_node(bag, JOIN)
+                children[j] = [cur, nxt]
+                cur = j
+        par = dec.parent.get(node)
+        tops[node] = cur if par is None else chain(dec.bags[par], cur)
+    root = tops[dec.root]
 
     parent: dict[int, int] = {}
     for n, kids in children.items():

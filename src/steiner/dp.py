@@ -8,6 +8,15 @@ of partitions.  Leaf parts are folded in through ``leaf_table``, which
 builds representative subgraph families of the (possibly large) leaf
 chunk by growing the boundary one vertex at a time and calling
 Dreyfus-Wagner for the connecting pieces.
+
+Every entry carries a witness built in O(1): a frozenset of edge keys,
+or a pair ``(witness, witness)`` whose edge sets are disjoint.  Leaves
+store the empty set, leaf tables the edges of their subgraphs, an edge
+introduction pairs the child's witness with the new edge, and a join
+pairs the two children's witnesses; vertex introduce and forget pass
+the child's witness through.  The vertices of a witness are its edge
+endpoints plus Z.  Only the winning entry is flattened, by
+``witness_edges``.
 """
 
 from __future__ import annotations
@@ -41,7 +50,8 @@ def leaf_table(g: Graph, inner, boundary) -> PartitionTable:
     Dreyfus-Wagner) for each boundary subset containing the new vertex,
     and the family is re-reduced on the full boundary.  The result
     represents all subgraphs of g[inner | boundary] with at most
-    2^(|boundary|-1) entries, each carrying a witness.
+    2^(|boundary|-1) entries; each entry's witness is the edge set of
+    the subgraph that realizes it.
     """
     inner = frozenset(inner)
     bound = frozenset(boundary)
@@ -53,7 +63,6 @@ def leaf_table(g: Graph, inner, boundary) -> PartitionTable:
         raise ValueError("inner part and boundary must be graph vertices")
     order = sorted(bound)
     current = [g.empty_subgraph()]
-    entries = None
     for i in range(1, len(order) + 1):
         zi = order[:i]
         z_new = zi[-1]
@@ -69,22 +78,22 @@ def leaf_table(g: Graph, inner, boundary) -> PartitionTable:
             pv, pe = piece.tree.vertices, piece.tree.edges
             for sub in current:
                 pool.append(Subgraph(g, sub.vertices | pv, sub.edges | pe))
-        entries = reduce_subgraphs(pool, order)
-        current = [entry.witness for entry in entries]
-    table = PartitionTable(order, track_witness=True)
-    for entry in entries:
-        table.add(entry.partition, entry.weight, entry.witness)
+        reduced = reduce_subgraphs(pool, order)
+        current = [sub for _, _, sub in reduced.items()]
+    table = PartitionTable(order)
+    for p, w, sub in reduced.items():
+        table.add(p, w, sub.edges)
     return table
 
 
-def _empty_boundary_table(track: bool, parent: Graph) -> PartitionTable:
-    """Table for Z = {}: only the empty partial solution, at cost zero."""
-    table = PartitionTable((), track_witness=track)
-    table.add(Partition((), []), 0, parent.empty_subgraph() if track else None)
+def _start_table(z) -> PartitionTable:
+    """Table holding only the empty partial solution on z, at cost zero."""
+    table = PartitionTable(z)
+    table.add(Partition.singletons(z), 0, frozenset())
     return table
 
 
-def introduce_vertex(child: dict, v: int, z, terminals, track: bool = False) -> PartitionTable:
+def introduce_vertex(child: dict, v: int, z, terminals) -> PartitionTable:
     """Table after introducing vertex v, for used-boundary set z.
 
     An introduced vertex inside z joins every child entry as a fresh
@@ -92,24 +101,21 @@ def introduce_vertex(child: dict, v: int, z, terminals, track: bool = False) -> 
     survives; a non-terminal outside z leaves the table unchanged.
     """
     zset = frozenset(z)
-    out = PartitionTable(zset, track_witness=track)
+    out = PartitionTable(zset)
     if v in zset:
         src = child.get(zset - {v})
         if src is not None:
-            for p, w in src.entries():
-                wit = src.witness(p)
-                if track and wit is not None:
-                    wit = wit.with_vertices([v])
+            for p, w, wit in src.items():
                 out.add(add_singleton(p, v), w, wit)
     elif v not in terminals:
         src = child.get(zset)
         if src is not None:
-            for p, w in src.entries():
-                out.add(p, w, src.witness(p))
+            for p, w, wit in src.items():
+                out.add(p, w, wit)
     return out
 
 
-def forget_vertex(child: dict, v: int, z, track: bool = False) -> PartitionTable:
+def forget_vertex(child: dict, v: int, z) -> PartitionTable:
     """Table after forgetting vertex v for used-boundary set z.
 
     Solutions that never used v carry over; solutions that used v drop it
@@ -117,66 +123,68 @@ def forget_vertex(child: dict, v: int, z, track: bool = False) -> PartitionTable
     component must stay attached to the boundary.
     """
     zset = frozenset(z)
-    out = PartitionTable(zset, track_witness=track)
+    out = PartitionTable(zset)
     src = child.get(zset)
     if src is not None:
-        for p, w in src.entries():
-            out.add(p, w, src.witness(p))
+        for p, w, wit in src.items():
+            out.add(p, w, wit)
     src = child.get(zset | {v})
     if src is not None:
-        for p, w in src.entries():
+        for p, w, wit in src.items():
             if p.is_singleton(v):
                 continue
-            out.add(restrict(p, zset), w, src.witness(p))
+            out.add(restrict(p, zset), w, wit)
     return out
 
 
-def introduce_edge(child: dict, edge, weight: int, z, track: bool = False) -> PartitionTable:
+def introduce_edge(child: dict, edge, weight: int, z) -> PartitionTable:
     """Table after making one edge available, for used-boundary set z."""
     u, v = edge
     zset = frozenset(z)
-    out = PartitionTable(zset, track_witness=track)
+    out = PartitionTable(zset)
     src = child.get(zset)
     if src is None:
         return out
     use_edge = u in zset and v in zset
     pairp = pair_partition(zset, u, v) if use_edge else None
-    for p, w in src.entries():
-        wit = src.witness(p)
+    used = frozenset([edge])
+    for p, w, wit in src.items():
         out.add(p, w, wit)
         if use_edge:
-            grown = wit
-            if track and wit is not None:
-                grown = Subgraph(
-                    wit.parent, wit.vertices | {u, v}, wit.edges | {(min(u, v), max(u, v))}
-                )
-            out.add(join(p, pairp), w + weight, grown)
+            out.add(join(p, pairp), w + weight, (wit, used))
     return out
 
 
-def join_tables(left: dict, right: dict, z, track: bool = False) -> PartitionTable:
+def join_tables(left: dict, right: dict, z) -> PartitionTable:
     """Table combining two children over the same bag, for used-boundary z.
 
     Partitions join and weights add; the children's edge sets are
     disjoint because every edge is available on exactly one side.
     """
     zset = frozenset(z)
-    out = PartitionTable(zset, track_witness=track)
+    out = PartitionTable(zset)
     a = left.get(zset)
     b = right.get(zset)
     if a is None or b is None:
         return out
-    right_entries = b.entries()
-    for p1, w1 in a.entries():
-        wit1 = a.witness(p1)
-        for p2, w2 in right_entries:
-            wit = None
-            if track:
-                wit2 = b.witness(p2)
-                if wit1 is not None and wit2 is not None:
-                    wit = wit1.union(wit2)
-            out.add(join(p1, p2), w1 + w2, wit)
+    right_entries = b.items()
+    for p1, w1, wit1 in a.items():
+        for p2, w2, wit2 in right_entries:
+            out.add(join(p1, p2), w1 + w2, (wit1, wit2))
     return out
+
+
+def witness_edges(witness) -> set:
+    """All edge keys of a DP witness, flattened without recursion."""
+    edges = set()
+    stack = [witness]
+    while stack:
+        wit = stack.pop()
+        if isinstance(wit, tuple):
+            stack.extend(wit)
+        else:
+            edges |= wit
+    return edges
 
 
 def _z_subsets(bag, terminals):
@@ -187,7 +195,7 @@ def _z_subsets(bag, terminals):
         yield frozenset(base + [free[i] for i in range(len(free)) if mask >> i & 1])
 
 
-def compute_tables(g: Graph, terminals, dec: NiceDecomposition, track: bool = False):
+def compute_tables(g: Graph, terminals, dec: NiceDecomposition):
     """Bottom-up node tables plus the vertex set seen below each node.
 
     Children of leaf-introduce nodes are folded into their parent via
@@ -210,13 +218,7 @@ def compute_tables(g: Graph, terminals, dec: NiceDecomposition, track: bool = Fa
         node_tables = {}
         if kind == LEAF:
             for z in _z_subsets(bag, terms):
-                table = PartitionTable(z, track_witness=track)
-                table.add(
-                    Partition.singletons(z),
-                    0,
-                    Subgraph(g, z, frozenset()) if track else None,
-                )
-                node_tables[z] = table
+                node_tables[z] = _start_table(z)
         elif kind == LEAF_INTRODUCE:
             child = kids[0]
             child_bag = dec.bags[child]
@@ -226,38 +228,27 @@ def compute_tables(g: Graph, terminals, dec: NiceDecomposition, track: bool = Fa
                 [(u, v, g.weight(u, v)) for u, v in dec.assigned_edges(child)],
             )
             for z in _z_subsets(bag, terms):
-                if not z:
-                    node_tables[z] = _empty_boundary_table(track, g)
-                    continue
-                raw = leaf_table(part_graph, inner, z)
-                table = PartitionTable(z, track_witness=track)
-                for p, w in raw.entries():
-                    wit = None
-                    if track:
-                        local = raw.witness(p)
-                        wit = Subgraph(g, local.vertices, local.edges)
-                    table.add(p, w, wit)
-                node_tables[z] = table
+                node_tables[z] = leaf_table(part_graph, inner, z) if z else _start_table(z)
         elif kind == INTRODUCE_VERTEX:
             child = tables[kids[0]]
             v = dec.intro_vertex[node]
             for z in _z_subsets(bag, terms):
-                node_tables[z] = introduce_vertex(child, v, z, terms, track)
+                node_tables[z] = introduce_vertex(child, v, z, terms)
         elif kind == FORGET_VERTEX:
             child = tables[kids[0]]
             v = dec.intro_vertex[node]
             for z in _z_subsets(bag, terms):
-                node_tables[z] = forget_vertex(child, v, z, track)
+                node_tables[z] = forget_vertex(child, v, z)
         elif kind == INTRODUCE_EDGE:
             child = tables[kids[0]]
             e = dec.intro_edge[node]
             w = g.weight(*e)
             for z in _z_subsets(bag, terms):
-                node_tables[z] = introduce_edge(child, e, w, z, track)
+                node_tables[z] = introduce_edge(child, e, w, z)
         elif kind == JOIN:
             left, right = tables[kids[0]], tables[kids[1]]
             for z in _z_subsets(bag, terms):
-                node_tables[z] = join_tables(left, right, z, track)
+                node_tables[z] = join_tables(left, right, z)
         else:
             raise AssertionError(f"unhandled node kind {kind!r}")
         tables[node] = {z: reduce_partitions(t) for z, t in node_tables.items()}
@@ -272,8 +263,10 @@ def solve_decomposition(
     The answer is the cheapest single-block entry over all nodes whose
     seen-below vertex set already covers the terminals (the root always
     qualifies; checking the others also covers optima that avoid the
-    root bag entirely).  With ``witness`` enabled the stored witness
-    subgraph is turned into an explicit tree.
+    root bag entirely).  With ``witness`` enabled the winning entry's
+    witness is flattened into its edge set, padded with the vertices of
+    Z, and its terminal component is returned as a minimum spanning tree,
+    which must cost exactly the table weight.
     """
     terms = frozenset(terminals)
     if not terms <= g.vertex_set:
@@ -284,7 +277,7 @@ def solve_decomposition(
     if len(terms) <= 1:
         return SteinerResult(0, Subgraph(g, terms, frozenset()))
 
-    tables, below = compute_tables(g, terms, dec, track=witness)
+    tables, below = compute_tables(g, terms, dec)
     best_weight = INF
     best_entry = None
     for node in sorted(tables):
@@ -304,14 +297,12 @@ def solve_decomposition(
         return SteinerResult(best_weight, None)
 
     table, p, z = best_entry
-    stored = table.witness(p)
-    padded = stored.with_vertices(z)
+    edges = witness_edges(table.witness(p))
+    padded = Subgraph(g, z.union(*edges), edges)
     for comp in connected_components(padded):
         if terms <= comp:
             tree = minimum_spanning_tree(
-                Subgraph(
-                    g, comp, [e for e in padded.edges if e[0] in comp and e[1] in comp]
-                )
+                Subgraph(g, comp, [e for e in edges if e[0] in comp and e[1] in comp])
             )
             if tree.cost != best_weight:
                 raise AssertionError("witness cost disagrees with the table weight")

@@ -144,9 +144,9 @@ class Graph:
 class Subgraph:
     """A vertex and edge subset of a parent graph.
 
-    Solvers return their trees as subgraphs, and the decomposition DP
-    stores partial solutions this way.  ``cost`` is the sum of the
-    included edge weights.
+    Solvers return their trees as subgraphs, and leaf tables of the
+    decomposition DP build their partial solutions this way.  ``cost`` is
+    the sum of the included edge weights.
     """
 
     __slots__ = ("parent", "vertices", "edges", "_adj", "_cost")
@@ -184,16 +184,6 @@ class Subgraph:
             return self._adj[v]
         except KeyError:
             raise ValueError(f"vertex {v} not in subgraph") from None
-
-    def union(self, other: "Subgraph") -> "Subgraph":
-        if other.parent is not self.parent:
-            raise ValueError("subgraphs of different parent graphs")
-        return Subgraph(
-            self.parent, self.vertices | other.vertices, self.edges | other.edges
-        )
-
-    def with_vertices(self, vertices) -> "Subgraph":
-        return Subgraph(self.parent, self.vertices | frozenset(vertices), self.edges)
 
     def is_connected(self) -> bool:
         return len(connected_components(self)) <= 1

@@ -11,29 +11,25 @@ int bitsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import INF, Subgraph
+from .graph import INF
 from .partitions import Partition, enumerate_partitions, join, project
+
+_ABSENT = (INF, None)  # weight and witness of a partition not in a table
 
 
 class PartitionTable:
     """Weighted partitions over one universe, minimum weight per partition.
 
-    Optionally carries one witness subgraph per surviving partition; the
-    witness realizes the partition on the universe at exactly its weight.
+    Each partition keeps the witness it was added with, an opaque object
+    the caller chooses: the decomposition DP stores edge sets (see
+    ``steiner.dp``), ``reduce_subgraphs`` the subgraphs themselves.
     """
 
-    __slots__ = ("universe", "_weights", "_witnesses")
+    __slots__ = ("universe", "_entries")
 
-    def __init__(self, universe, track_witness: bool = False):
+    def __init__(self, universe):
         self.universe = tuple(sorted(set(universe)))
-        self._weights: dict[Partition, int] = {}
-        self._witnesses = {} if track_witness else None
-
-    @property
-    def tracks_witness(self) -> bool:
-        return self._witnesses is not None
+        self._entries: dict[Partition, tuple] = {}  # partition -> (weight, witness)
 
     def add(self, partition: Partition, weight, witness=None):
         """Insert keeping the minimum weight per partition (first wins ties)."""
@@ -41,28 +37,29 @@ class PartitionTable:
             raise ValueError("partition universe does not match the table")
         if weight == INF:
             return
-        old = self._weights.get(partition)
-        if old is None or weight < old:
-            self._weights[partition] = weight
-            if self._witnesses is not None:
-                self._witnesses[partition] = witness
+        old = self._entries.get(partition)
+        if old is None or weight < old[0]:
+            self._entries[partition] = (weight, witness)
+
+    def items(self) -> list[tuple[Partition, int, object]]:
+        """(partition, weight, witness) triples in partition key order."""
+        ranked = sorted(self._entries.items(), key=lambda item: item[0].key)
+        return [(p, w, wit) for p, (w, wit) in ranked]
 
     def entries(self) -> list[tuple[Partition, int]]:
-        return sorted(self._weights.items(), key=lambda item: item[0].key)
+        return [(p, w) for p, w, _ in self.items()]
 
     def weight(self, partition: Partition):
-        return self._weights.get(partition, INF)
+        return self._entries.get(partition, _ABSENT)[0]
 
     def witness(self, partition: Partition):
-        if self._witnesses is None:
-            return None
-        return self._witnesses.get(partition)
+        return self._entries.get(partition, _ABSENT)[1]
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self._entries)
 
     def __contains__(self, partition: Partition) -> bool:
-        return partition in self._weights
+        return partition in self._entries
 
 
 def cut_row(partition: Partition) -> int:
@@ -89,10 +86,10 @@ def reduce_partitions(table: PartitionTable) -> PartitionTable:
     """
     if len(table.universe) > 62:
         raise ValueError("universe too large to reduce")
-    out = PartitionTable(table.universe, table.tracks_witness)
-    ranked = sorted(table._weights.items(), key=lambda item: (item[1], item[0].key))
+    out = PartitionTable(table.universe)
+    ranked = sorted(table._entries.items(), key=lambda item: (item[1][0], item[0].key))
     basis: dict[int, int] = {}  # pivot bit -> reduced row
-    for partition, weight in ranked:
+    for partition, entry in ranked:
         row = cut_row(partition)
         while row:
             pivot = row & -row
@@ -102,7 +99,7 @@ def reduce_partitions(table: PartitionTable) -> PartitionTable:
             row ^= other
         if row:
             basis[row & -row] = row
-            out.add(partition, weight, table.witness(partition))
+            out._entries[partition] = entry  # weight and witness as they were
     return out
 
 
@@ -131,25 +128,14 @@ def is_representative(reduced: PartitionTable, full: PartitionTable) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class WitnessedEntry:
-    partition: Partition
-    weight: int
-    witness: Subgraph
-
-
-def reduce_subgraphs(subgraphs, boundary) -> list[WitnessedEntry]:
+def reduce_subgraphs(subgraphs, boundary) -> PartitionTable:
     """Representative subgraphs of a family, summarized on a boundary.
 
-    Each subgraph is projected to its boundary partition, duplicates keep
-    the cheapest witness, and the partition table is reduced.  The
-    surviving entries keep one witness subgraph each.
+    Each subgraph is projected to its boundary partition at its cost,
+    duplicates keep the cheapest subgraph, and the table is reduced.
+    Every surviving entry's witness is the subgraph that realizes it.
     """
-    uni = tuple(sorted(set(boundary)))
-    table = PartitionTable(uni, track_witness=True)
+    table = PartitionTable(boundary)
     for sub in subgraphs:
-        table.add(project(sub, uni), sub.cost, sub)
-    reduced = reduce_partitions(table)
-    return [
-        WitnessedEntry(p, w, reduced.witness(p)) for p, w in reduced.entries()
-    ]
+        table.add(project(sub, table.universe), sub.cost, sub)
+    return reduce_partitions(table)

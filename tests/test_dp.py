@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from steiner.cli import verify_tree
 from steiner.cuts import minimum_multiway_cut
 from steiner.decomposition import decompose_from_multiway_cut, to_nice
 from steiner.dp import (
@@ -14,8 +15,8 @@ from steiner.dp import (
     solve_decomposition,
 )
 from steiner.exact import brute_force_steiner, dreyfus_wagner
-from steiner.graph import Graph, connected_components
-from steiner.partitions import Partition
+from steiner.graph import Graph, Subgraph, connected_components
+from steiner.partitions import Partition, project
 from steiner.representatives import PartitionTable, is_representative
 
 from helpers import (
@@ -79,7 +80,9 @@ def test_leaf_table_represents_all_subgraphs():
         full = exhaustive_subgraph_table(g, boundary | inner, boundary)
         assert is_representative(table, full)
         for p, w in table.entries():
-            witness = table.witness(p)
+            edges = table.witness(p)  # the realizing subgraph's edge set
+            witness = Subgraph(g, boundary.union(*edges), edges)
+            assert project(witness, sorted(boundary)) == p
             assert witness.cost == w
 
 
@@ -223,6 +226,25 @@ def test_standard_decomposition_cross_check():
         assert not any(kind == "leaf-introduce" for kind in nice.kinds.values())
         res = solve_decomposition(inst.graph, inst.terminals, nice)
         assert res.cost == dreyfus_wagner(inst.graph, inst.terminals).cost
+        tree = solve_decomposition(inst.graph, inst.terminals, nice, witness=True)
+        assert tree.cost == res.cost
+        assert verify_tree(inst, sorted(tree.tree.edges), tree.cost) is None
+
+
+def test_long_path_decomposition():
+    # nice-form construction and witness flattening both run one level
+    # per bag along a path; neither may hit the recursion limit
+    n = 1000
+    g = Graph(range(1, n + 1), [(v, v + 1, 1) for v in range(1, n)])
+    terms = frozenset({1, n})
+    from steiner.decomposition import Decomposition
+
+    dec = Decomposition(
+        1, {i: {i, i + 1} for i in range(1, n)}, {i: [i + 1] for i in range(1, n - 1)}
+    )
+    res = solve_decomposition(g, terms, to_nice(g, terms, dec), witness=True)
+    assert res.cost == n - 1
+    assert res.tree.edges == frozenset(g.edges)
 
 
 def test_mixed_leaf_decompositions_match_oracle():

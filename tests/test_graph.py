@@ -164,4 +164,3 @@ def test_subgraph_checks():
         Subgraph(g, {1, 3}, [(1, 3)])
     sub = Subgraph(g, {1, 2}, [(1, 2)])
     assert sub.cost == 1
-    assert sub.union(Subgraph(g, {2, 3}, [(2, 3)])).cost == 3

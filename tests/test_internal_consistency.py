@@ -13,9 +13,9 @@ from steiner.decomposition import (
     to_nice,
     validate_nice,
 )
-from steiner.dp import compute_tables, solve_decomposition
+from steiner.dp import compute_tables, solve_decomposition, witness_edges
 from steiner.exact import brute_force_steiner, dreyfus_wagner
-from steiner.graph import Graph
+from steiner.graph import Graph, Subgraph
 from steiner.partitions import Partition, project
 from steiner.representatives import PartitionTable, reduce_partitions
 
@@ -24,20 +24,20 @@ from helpers import random_instance
 
 def test_every_table_witness_realizes_its_entry():
     # each stored (partition, weight) pair must be realized exactly by its
-    # witness subgraph: projection matches, cost matches
+    # witness edge set, padded with z: projection matches, cost matches
     for seed in range(40):
         inst = random_instance(seed, nmax=9, kmax=3)
         g, terms = inst.graph, inst.terminals
         cut = minimum_multiway_cut(g, terms, max(0, len(terms) - 1))
         nice = to_nice(g, terms, decompose_from_multiway_cut(g, terms, cut))
-        tables, _ = compute_tables(g, terms, nice, track=True)
+        tables, _ = compute_tables(g, terms, nice)
         for per_node in tables.values():
             for z, table in per_node.items():
                 for p, w in table.entries():
-                    witness = table.witness(p)
-                    padded = witness.with_vertices(z & witness.parent.vertex_set)
+                    edges = witness_edges(table.witness(p))
+                    padded = Subgraph(g, z.union(*edges), edges)
                     assert project(padded, sorted(z)) == p
-                    assert witness.cost == w
+                    assert padded.cost == w
 
 
 def test_zero_weight_edges_all_solvers():

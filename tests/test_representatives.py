@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 from steiner.graph import Graph, Subgraph
-from steiner.partitions import Partition, enumerate_partitions
+from steiner.partitions import Partition, enumerate_partitions, project
 from steiner.representatives import (
     PartitionTable,
     cut_row,
@@ -97,8 +97,8 @@ def test_cut_matrix_against_definition():
 
 def test_reduce_subgraphs_examples():
     g = Graph([1, 2, 3], [(1, 2, 1), (2, 3, 2)])
-    entries = reduce_subgraphs([g.empty_subgraph()], {1})
-    assert len(entries) == 1 and entries[0].weight == 0
+    reduced = reduce_subgraphs([g.empty_subgraph()], {1})
+    assert len(reduced) == 1 and reduced.weight(P((1,), {1})) == 0
 
     # all subgraphs of a 3-vertex path, summarized on its endpoints
     subs = []
@@ -107,33 +107,30 @@ def test_reduce_subgraphs_examples():
         for combo in combinations(edges, r):
             vertices = {x for e in combo for x in e}
             subs.append(Subgraph(g, vertices, combo))
-    entries = reduce_subgraphs(subs, {1, 3})
-    assert len(entries) <= 2
+    reduced = reduce_subgraphs(subs, {1, 3})
+    assert len(reduced) <= 2
     full = PartitionTable((1, 3))
     for sub in subs:
-        from steiner.partitions import project
-
         full.add(project(sub, (1, 3)), sub.cost)
-    reduced = PartitionTable((1, 3))
-    for e in entries:
-        reduced.add(e.partition, e.weight)
     assert is_representative(reduced, full)
+    for p, w in reduced.entries():  # each witness realizes its entry
+        witness = reduced.witness(p)
+        assert project(witness, (1, 3)) == p and witness.cost == w
 
 
 def test_reduce_subgraphs_dominance():
     g = Graph([1, 2, 3], [(1, 2, 4), (1, 3, 5), (2, 3, 5)])
     cheap = Subgraph(g, {1, 2}, [(1, 2)])
     costly = Subgraph(g, {1, 2, 3}, [(1, 3), (2, 3)])  # same {1,2} grouping, cost 10
-    entries = reduce_subgraphs([costly, cheap], {1, 2})
-    grouped = [e for e in entries if len(e.partition) == 1]
-    assert grouped and grouped[0].weight == 4 and grouped[0].witness == cheap
+    reduced = reduce_subgraphs([costly, cheap], {1, 2})
+    grouped = P((1, 2), {1, 2})
+    assert reduced.weight(grouped) == 4 and reduced.witness(grouped) == cheap
 
 
 def test_witness_tracking_through_reduce():
-    g = Graph([1, 2], [(1, 2, 3)])
-    table = PartitionTable((1, 2), track_witness=True)
-    used = Subgraph(g, {1, 2}, [(1, 2)])
+    table = PartitionTable((1, 2))
+    used = frozenset({(1, 2)})  # an edge-set witness, as the DP stores them
     table.add(P((1, 2), {1, 2}), 3, used)
-    table.add(P((1, 2), {1}, {2}), 0, g.empty_subgraph())
+    table.add(P((1, 2), {1}, {2}), 0, frozenset())
     reduced = reduce_partitions(table)
     assert reduced.witness(P((1, 2), {1, 2})) == used
