@@ -12,10 +12,8 @@ comment anywhere; parsing is line-based and whitespace-separated.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .decomposition import Decomposition, width
 from .graph import Graph
 
 MAX_NODES = 1_000_000  # every declared vertex is built, so the count is capped
@@ -31,11 +29,9 @@ class FormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Instance:
-    graph: Graph
-    terminals: frozenset[int]
-    name: str = "instance"
+# a namedtuple, not a dataclass: ``dataclasses`` would load ``inspect`` at start-up
+Instance = namedtuple("Instance", ("graph", "terminals", "name"), defaults=("instance",))
+Instance.__doc__ = "A Steiner instance: a Graph, a frozenset of terminal ids and a name."
 
 
 def _content_lines(text):
@@ -181,6 +177,9 @@ def emit_cut(cut) -> str:
 
 def parse_decomposition(text: str) -> tuple[str, Decomposition]:
     """Decomposition file; returns the header kind ('TKD' or 'TFD') and the tree."""
+    # imported here, so that reading an instance loads no decomposition code
+    from .decomposition import Decomposition, width
+
     header_kind = None
     n_nodes = None
     declared_width = None
@@ -257,6 +256,8 @@ def parse_decomposition(text: str) -> tuple[str, Decomposition]:
 
 
 def emit_decomposition(dec: Decomposition, kind: str = "TKD") -> str:
+    from .decomposition import width
+
     if kind not in ("TKD", "TFD"):
         raise ValueError("kind must be 'TKD' or 'TFD'")
     lines = [f"{kind} {len(dec.bags)} {width(dec)}", f"ROOT {dec.root}"]
@@ -287,6 +288,8 @@ def generate_instance(seed: int, n: int, m: int, k: int, wmax: int) -> Instance:
     max_edges = n * (n - 1) // 2
     if not n - 1 <= m <= max_edges:
         raise ValueError(f"edge count must be in [{n - 1}, {max_edges}]")
+    import random
+
     rng = random.Random(seed)
     edges = set()
     for v in range(2, n + 1):

@@ -1,3 +1,4 @@
+import importlib
 import os
 import pathlib
 import resource
@@ -13,8 +14,10 @@ from steiner.decomposition import (
     decompose_from_multiway_cut,
     gadget_decomposition,
 )
+from steiner.graph import Graph
 from steiner.io import (
     FormatError,
+    Instance,
     emit_cut,
     emit_decomposition,
     emit_pace,
@@ -23,6 +26,22 @@ from steiner.io import (
     parse_decomposition,
     parse_pace,
 )
+
+SRC = str(pathlib.Path(steiner.__file__).resolve().parent.parent)
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def run_child(argv, **kwargs):
+    """Run ``python <argv>`` in a fresh interpreter that imports ``steiner`` from SRC."""
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+        **kwargs,
+    )
+
 
 PATH_INSTANCE = """\
 SECTION Graph
@@ -89,16 +108,7 @@ def test_parse_rejects_huge_node_count():
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = str(pathlib.Path(steiner.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        input=text,
-        capture_output=True,
-        text=True,
-        timeout=60,
-        preexec_fn=limit_memory,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    done = run_child(["-c", code], input=text, preexec_fn=limit_memory)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["FormatError", "2"]
 
@@ -243,9 +253,7 @@ def test_run_api_reports():
 
 
 def test_fixture_corpus_round_trip_and_agreement():
-    fixtures = sorted(
-        (pathlib.Path(__file__).parent / "fixtures").glob("*.gr")
-    )
+    fixtures = sorted(FIXTURES.glob("*.gr"))
     assert fixtures
     for path in fixtures:
         text = path.read_text()
@@ -257,3 +265,67 @@ def test_fixture_corpus_round_trip_and_agreement():
             for solver in ("dw", "brute", "mwc", "kfree")
         }
         assert len(set(values.values())) == 1, (path.name, values)
+
+
+def test_import_footprint():
+    # a fresh ``import steiner`` loads no submodule, ``import steiner.io`` loads
+    # no solver module and no ``dataclasses``, and a submodule not yet imported
+    # is still reachable as an attribute
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'steiner')\n"
+        "import steiner\n"
+        "print(*loaded())\n"
+        "import steiner.io\n"
+        "print(*loaded())\n"
+        "print('dataclasses' in sys.modules)\n"
+        "print(steiner.exact.__name__)\n"
+    )
+    done = run_child(["-c", code])
+    assert done.returncode == 0, done.stderr
+    package, io_only, dataclasses_loaded, exact = done.stdout.splitlines()
+    assert package == "steiner"
+    assert io_only.split() == ["steiner", "steiner.graph", "steiner.io"]
+    assert exact == "steiner.exact"
+    bare = run_child(["-c", "import sys; print('dataclasses' in sys.modules)"])
+    assert dataclasses_loaded == "False" or bare.stdout.strip() == "True"
+
+
+def test_lazy_namespace():
+    assert len(steiner.__all__) == 49 == len(set(steiner.__all__))
+    for name in steiner.__all__:
+        value = getattr(steiner, name)
+        # INF, a float, is the one export without a __module__
+        home = importlib.import_module(getattr(value, "__module__", "steiner.graph"))
+        assert home.__name__.startswith("steiner.") and getattr(home, name) is value, name
+    namespace = {}
+    exec("from steiner import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(steiner.__all__)
+    assert set(steiner.__all__) <= set(dir(steiner))
+    assert steiner.dp is importlib.import_module("steiner.dp")
+    with pytest.raises(AttributeError, match="'steiner'"):
+        steiner.nope
+    assert not hasattr(steiner, "nope")
+
+
+def test_instance_contract():
+    g = Graph([1, 2], [(1, 2, 5)])
+    inst = Instance(g, frozenset({1, 2}))
+    assert (inst.graph, inst.terminals, inst.name) == (g, frozenset({1, 2}), "instance")
+    assert inst == Instance(graph=g, terminals=frozenset({1, 2}), name="instance")
+    assert inst != Instance(g, frozenset({1, 2}), "other")
+    assert inst != Instance(g, frozenset({1}))
+    with pytest.raises(AttributeError):
+        inst.name = "other"
+    assert parse_pace(PATH_INSTANCE, name="path").name == "path"
+
+
+@pytest.mark.parametrize("solver", ["dw", "mwc", "kfree"])
+def test_fresh_process_cli_matches_in_process(solver, capsys):
+    for path in sorted(FIXTURES.glob("*.gr")):
+        argv = ["solve", str(path), "--solver", solver, "--witness"]
+        code, out = run_cli(capsys, *argv)
+        done = run_child(["-m", "steiner", *argv])
+        assert (done.returncode, done.stdout) == (code, out), (path.name, done.stderr)
