@@ -25,10 +25,10 @@ _EXPORTS = {
     "cuts": ("MultiwayCut", "default_multiway_cut", "minimum_multiway_cut"),
     "connecting": (
         "ConnectingSystem",
+        "CutInvariants",
         "build_weights",
         "enumerate_connecting_systems",
         "is_self_reachable",
-        "minimum_weight_matching",
         "reconstruct_tree",
         "solve_with_cut",
     ),

@@ -6,11 +6,13 @@ tree attaches to them.  Each attachment pattern -- a *connecting system*
 them plus helper hyperedges that stand for contracted components and
 record which cut subsets must be made reachable through single
 components.  Fixing a pattern reduces the optimization to a
-minimum-weight assignment between those subsets and component slots,
-where the slot weights come from small Steiner subproblems solved with
-Dreyfus-Wagner.  The components, their boundary graphs and the
-terminals' distances are computed once per solve, and only the best
-guess is rebuilt into a tree.
+minimum-cost assignment: ``build_weights`` gives a matrix with one row
+per helper subset and m+1 columns per component (m helper subsets),
+column ``p*(m+1) + j`` being slot j of component p, and its entries
+come from small Steiner subproblems solved with Dreyfus-Wagner.  One
+``CutInvariants`` per solve holds the components, their boundary
+graphs and the terminals' distances, and only the best guess is
+rebuilt into a tree.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def enumerate_connecting_systems(g: Graph, base):
         )
 
 
-def _hypertrees(vertices, has_edge, memo):
+def _hypertrees(vertices, has_edge, cache):
     """Spanning hypertrees of the sorted tuple ``vertices``, each once,
     as (helper hyperedges, base edges).
 
@@ -96,12 +98,12 @@ def _hypertrees(vertices, has_edge, memo):
     for size in range(len(others) + 1):
         for extra in combinations(others, size):
             rest = (root,) + tuple(v for v in others if v not in extra)
-            for subsets, edges in _branches(root, (first,) + extra, has_edge, memo):
-                for more_subsets, more_edges in _listed(rest, has_edge, memo):
+            for subsets, edges in _branches(root, (first,) + extra, has_edge, cache):
+                for more_subsets, more_edges in _listed(rest, has_edge, cache):
                     yield subsets + more_subsets, edges + more_edges
 
 
-def _branches(root, branch, has_edge, memo):
+def _branches(root, branch, has_edge, cache):
     """Hypertrees on ``root`` plus ``branch`` in which ``root`` lies in
     exactly one hyperedge.
 
@@ -120,7 +122,7 @@ def _branches(root, branch, has_edge, memo):
                     (u,) + tuple(v for v, o in zip(below, owners) if o == u)
                     for u in top
                 ]
-                parts = [_listed(tuple(sorted(block)), has_edge, memo) for block in blocks]
+                parts = [_listed(tuple(sorted(block)), has_edge, cache) for block in blocks]
                 for head in heads:
                     for chosen in product(*parts):
                         yield (
@@ -129,49 +131,28 @@ def _branches(root, branch, has_edge, memo):
                         )
 
 
-def _listed(vertices, has_edge, memo):
-    """``_hypertrees`` of a proper subset, kept in ``memo`` for reuse."""
-    hit = memo.get(vertices)
+def _listed(vertices, has_edge, cache):
+    """``_hypertrees`` of a proper subset, kept in ``cache`` for reuse."""
+    hit = cache.get(vertices)
     if hit is None:
-        hit = memo[vertices] = list(_hypertrees(vertices, has_edge, memo))
+        hit = cache[vertices] = list(_hypertrees(vertices, has_edge, cache))
     return hit
 
 
-@dataclass(frozen=True)
-class AssignmentWeights:
-    """Cost matrix between a system's subsets and (component, slot) pairs.
-
-    Slot (p, 0) means "connect the subset through component p picking up
-    its terminal"; the weight nets out the terminal's plain shortest-path
-    cost and can be negative.  Slots (p, j>0) connect the subset through
-    component p without claiming the terminal.
-    """
-
-    rows: tuple[frozenset[int], ...]
-    slots: tuple[tuple[int, int], ...]
-    matrix: tuple[tuple[int | float, ...], ...]
-    components: tuple[frozenset[int], ...]
-
-
-def _cut_vertices(cut) -> frozenset[int]:
-    if isinstance(cut, MultiwayCut):
-        return cut.vertices
-    return frozenset(cut)
-
-
-class _CutInvariants:
+class CutInvariants:
     """What every guess of one solve shares, computed once.
 
-    The components of ``g - cut``, one boundary graph per component, the
-    terminal of each component with its distances to every vertex of
+    The components of ``g - cutset``, one boundary graph per component,
+    the terminal of each component with its distances to every vertex of
     ``g``, each base's distances to those terminals, and the minimum
     Steiner trees found inside components so far.
     """
 
-    def __init__(self, g: Graph, terms: frozenset[int], cutset: frozenset[int]):
-        self.g, self.terms, self.cutset = g, terms, cutset
+    def __init__(self, g: Graph, terminals, cutset):
+        self.g = g
         self.comps = connected_components(g.without(cutset))
         self.graphs = [boundary_graph(g, cutset, comp) for comp in self.comps]
+        terms = frozenset(terminals)
         self.terminal = []
         for comp in self.comps:
             inside = sorted(comp & terms)
@@ -209,37 +190,18 @@ class _CutInvariants:
         return hit
 
 
-def _invariants(g: Graph, terms, cutset, memo) -> _CutInvariants:
-    """The solve's invariants, kept in ``memo`` when one is given."""
-    if memo is None:
-        return _CutInvariants(g, terms, cutset)
-    found = memo.get(_CutInvariants)
-    if found is None or (found.g, found.terms, found.cutset) != (g, terms, cutset):
-        found = memo[_CutInvariants] = _CutInvariants(g, terms, cutset)
-    return found
+def build_weights(inv: CutInvariants, system: ConnectingSystem) -> list[list[int | float]]:
+    """Assignment matrix of one connecting system, for ``min_cost_assignment``.
 
-
-def build_weights(
-    g: Graph, terminals, cut, base, system: ConnectingSystem, memo=None
-) -> AssignmentWeights:
-    """Assignment weights for one (used set, connecting system) pair.
-
-    Components are taken with respect to the full cut; shortest paths to
-    terminals are measured in the whole graph against the used set.
-    Calls that share one ``memo`` dict on the same graph, terminals and
-    cut compute the components, distances and component trees once.
+    Row i is ``system.subsets[i]``.  With ``m = len(system.subsets)``,
+    column ``p*(m+1) + j`` is slot (p, j) of component ``inv.comps[p]``.
+    Slot (p, 0) connects the subset through component p picking up its
+    terminal; the weight nets out the terminal's distance to the base and
+    can be negative.  Slots (p, j>0) connect the subset through
+    component p without claiming the terminal.
     """
-    cutset = _cut_vertices(cut)
-    basev = frozenset(base)
-    terms = frozenset(terminals)
-    if basev != system.base:
-        raise ValueError("base does not match the system")
-    if not terms & cutset <= basev:
-        raise ValueError("used set must contain the cut terminals")
-    inv = _invariants(g, terms, cutset, memo)
-    reach = inv.reach(basev)
+    reach = inv.reach(system.base)
     m = len(system.subsets)
-    slots = tuple((p, j) for p in range(len(inv.comps)) for j in range(m + 1))
     matrix = []
     for subset in system.subsets:
         row = []
@@ -247,57 +209,38 @@ def build_weights(
             if reached == INF:
                 row.append(INF)
             else:
-                want = subset | {inv.terminal[p]}
-                row.append(inv.steiner(p, want).cost - reached)
+                row.append(inv.steiner(p, subset | {inv.terminal[p]}).cost - reached)
             row.extend([inv.steiner(p, subset).cost] * m)
-        matrix.append(tuple(row))
-    return AssignmentWeights(
-        system.subsets, slots, tuple(matrix), tuple(inv.comps)
-    )
+        matrix.append(row)
+    return matrix
 
 
-def minimum_weight_matching(weights: AssignmentWeights):
-    """Minimum-weight matching saturating all subsets, or None if impossible."""
-    if not weights.rows:
-        return (), 0
-    matrix = [list(row) for row in weights.matrix]
-    solved = min_cost_assignment(matrix)
-    if solved is None:
-        return None
-    pairs, total = solved
-    return tuple((i, weights.slots[j]) for i, j in pairs), total
+def reconstruct_tree(inv: CutInvariants, system: ConnectingSystem, pairs) -> SteinerResult | None:
+    """Assemble a Steiner tree from a finite assignment.
 
-
-def reconstruct_tree(
-    g: Graph, terminals, cut, base, system: ConnectingSystem, matching, memo=None
-) -> SteinerResult | None:
-    """Assemble a Steiner tree from a finite matching.
-
-    Unions the base tree edges, the matched component trees and shortest
-    paths for the uncovered terminals, then returns a spanning tree of
-    the component containing the used set and the terminals.  Returns
-    None when some terminal cannot be attached in this iteration.
-    ``memo`` is shared with ``build_weights``.
+    ``pairs`` are ``min_cost_assignment``'s (row, column) pairs on
+    ``build_weights(inv, system)``.  Unions the base tree edges, the
+    matched component trees and shortest paths for the uncovered
+    terminals, then returns a spanning tree of the component containing
+    the base and the terminals.  Returns None when some terminal cannot
+    be attached.
     """
-    cutset = _cut_vertices(cut)
-    basev = frozenset(base)
-    terms = frozenset(terminals)
-    inv = _invariants(g, terms, cutset, memo)
+    g, basev = inv.g, system.base
+    # the cut's terminals lie in the base, every other one in its component
+    ends = basev | {t for t in inv.terminal if t is not None}
+    m = len(system.subsets)
     edges = set(system.base_edges)
-    vertices = set(basev) | terms
+    vertices = set(ends)
     covered = set()
-    for i, (p, j) in matching:
-        subset = system.subsets[i]
+    for i, col in pairs:
+        p, j = divmod(col, m + 1)
+        want = system.subsets[i]
         if j == 0:
-            if inv.terminal[p] is None:
-                raise ValueError("matching claims a terminal in a terminal-free component")
-            want = subset | {inv.terminal[p]}
+            want = want | {inv.terminal[p]}
             covered.add(p)
-        else:
-            want = subset
         piece = inv.steiner(p, want)
         if not piece.feasible:
-            raise ValueError("matching uses an infeasible slot")
+            raise ValueError("assignment uses an infeasible slot")
         edges |= piece.tree.edges
         vertices |= piece.tree.vertices
     for p, terminal in enumerate(inv.terminal):
@@ -311,7 +254,7 @@ def reconstruct_tree(
         vertices |= path.vertices
     assembled = Subgraph(g, frozenset(vertices), frozenset(edges))
     for comp in connected_components(assembled):
-        if basev | terms <= comp:
+        if ends <= comp:
             inner = Subgraph(
                 g, comp, [e for e in edges if e[0] in comp and e[1] in comp]
             )
@@ -325,14 +268,15 @@ def solve_with_cut(g: Graph, terminals, cut) -> SteinerResult:
 
     Guesses every used subset of the cut containing its terminals and
     every connecting system on it.  A guess's value is the cost of its
-    base edges, plus its matching total, plus each component terminal's
-    distance to the used set: the cost of the pieces its tree would be
-    rebuilt from.  That is at least the rebuilt tree's cost, which is at
-    least the optimum, and the optimal guess attains the optimum.  So
-    only the first guess of lowest value is rebuilt, and its tree must
-    cost exactly that value.
+    base edges, plus the minimum total of an assignment in its
+    ``build_weights`` matrix (every subset to its own component slot),
+    plus each component terminal's distance to the used set: the cost of
+    the pieces its tree would be rebuilt from.  That is at least the
+    rebuilt tree's cost, which is at least the optimum, and the optimal
+    guess attains the optimum.  So only the first guess of lowest value
+    is rebuilt, and its tree must cost exactly that value.
     """
-    cutset = _cut_vertices(cut)
+    cutset = cut.vertices if isinstance(cut, MultiwayCut) else frozenset(cut)
     terms = frozenset(terminals)
     if not terms <= g.vertex_set:
         raise ValueError("terminals must be graph vertices")
@@ -343,8 +287,7 @@ def solve_with_cut(g: Graph, terminals, cut) -> SteinerResult:
     if not any(terms <= comp for comp in connected_components(g)):
         return SteinerResult(INF, g.empty_subgraph())
 
-    memo: dict = {}
-    inv = _invariants(g, terms, cutset, memo)
+    inv = CutInvariants(g, terms, cutset)
     forced = terms & cutset
     optional = sorted(cutset - terms)
     best_value, best = INF, None
@@ -353,25 +296,22 @@ def solve_with_cut(g: Graph, terminals, cut) -> SteinerResult:
             basev = forced | frozenset(combo)
             if not basev:
                 continue  # with >= 2 terminals any tree must meet the cut
-            reach = inv.reach(basev)
             paths = sum(
-                d for d, t in zip(reach, inv.terminal) if t is not None
+                d for d, t in zip(inv.reach(basev), inv.terminal) if t is not None
             )
             if paths == INF:
                 continue  # some terminal cannot reach the used set
             for system in enumerate_connecting_systems(g, basev):
-                weights = build_weights(g, terms, cutset, basev, system, memo)
-                matched = minimum_weight_matching(weights)
-                if matched is None:
+                solved = min_cost_assignment(build_weights(inv, system))
+                if solved is None:
                     continue
-                matching, total = matched
+                pairs, total = solved
                 value = paths + total + sum(g.weight(u, v) for u, v in system.base_edges)
                 if value < best_value:
-                    best_value, best = value, (basev, system, matching)
+                    best_value, best = value, (system, pairs)
     if best is None:
         return SteinerResult(INF, g.empty_subgraph())
-    basev, system, matching = best
-    tree = reconstruct_tree(g, terms, cutset, basev, system, matching, memo)
+    tree = reconstruct_tree(inv, *best)
     if tree is None or tree.cost != best_value:
         raise AssertionError("the rebuilt tree does not cost its guess's value")
     return tree

@@ -95,20 +95,6 @@ def width(dec: Decomposition) -> int:
     return max(0, biggest - 1)
 
 
-def _occurrence_violation(dec: Decomposition, vertex_set) -> Violation | None:
-    for v in sorted(vertex_set):
-        occ = [n for n in dec.nodes if v in dec.bags[n]]
-        if not occ:
-            return Violation("A", f"vertex {v} appears in no bag", (v,))
-        occ_set = set(occ)
-        links = sum(1 for n in occ if dec.parent.get(n) in occ_set)
-        if links != len(occ) - 1:
-            return Violation(
-                "A", f"bags containing vertex {v} are not a connected subtree", (v,)
-            )
-    return None
-
-
 def _shared_conditions(g: Graph, dec: Decomposition) -> Violation | None:
     for n, bag in dec.bags.items():
         if not bag <= g.vertex_set:
@@ -118,21 +104,31 @@ def _shared_conditions(g: Graph, dec: Decomposition) -> Violation | None:
             )
     if not dec.leaf_vertices <= g.vertex_set:
         raise ValueError("leaf vertex set contains vertices outside the graph")
-    bad = _occurrence_violation(dec, g.vertices)
-    if bad:
-        return bad
+    occ = {v: set() for v in g.vertices}  # vertex -> nodes whose bag holds it
+    for n, bag in dec.bags.items():
+        for v in bag:
+            occ[v].add(n)
+    for v in sorted(occ):
+        nodes = occ[v]
+        if not nodes:
+            return Violation("A", f"vertex {v} appears in no bag", (v,))
+        links = sum(1 for n in nodes if dec.parent.get(n) in nodes)
+        if links != len(nodes) - 1:
+            return Violation(
+                "A", f"bags containing vertex {v} are not a connected subtree", (v,)
+            )
     for u, v in g.edges:
-        if not any({u, v} <= bag for bag in dec.bags.values()):
+        if occ[u].isdisjoint(occ[v]):
             return Violation("B", f"edge ({u}, {v}) is covered by no bag", (u, v))
     for v in sorted(dec.leaf_vertices):
-        occ = [n for n in dec.nodes if v in dec.bags[n]]
-        if len(occ) != 1:
+        if len(occ[v]) != 1:
             return Violation(
-                "C", f"leaf vertex {v} appears in {len(occ)} bags", (v,)
+                "C", f"leaf vertex {v} appears in {len(occ[v])} bags", (v,)
             )
-        if not dec.is_leaf(occ[0]):
+        (home,) = occ[v]
+        if not dec.is_leaf(home):
             return Violation(
-                "C", f"leaf vertex {v} appears in non-leaf node {occ[0]}", (v, occ[0])
+                "C", f"leaf vertex {v} appears in non-leaf node {home}", (v, home)
             )
     return None
 

@@ -3,17 +3,19 @@ from itertools import combinations
 
 import pytest
 
+import steiner.connecting
 from steiner.connecting import (
+    CutInvariants,
     build_weights,
     enumerate_connecting_systems,
     is_self_reachable,
-    minimum_weight_matching,
     reconstruct_tree,
     solve_with_cut,
 )
 from steiner.cuts import minimum_multiway_cut
 from steiner.exact import brute_force_steiner, dreyfus_wagner
 from steiner.graph import INF, Graph, Subgraph, is_multiway_cut, shortest_path
+from steiner.matching import min_cost_assignment
 
 from helpers import (
     brute_force_connecting_systems,
@@ -82,15 +84,20 @@ def test_self_reachability_composition():
         assert is_self_reachable(merged, base)
 
 
+def by_slot(inv, system, row):
+    """Row ``row`` of the system's matrix keyed by (component, slot)."""
+    m = len(system.subsets)
+    return {divmod(col, m + 1): w for col, w in enumerate(build_weights(inv, system)[row])}
+
+
 def test_build_weights_examples():
     # path 1-2-3 with cut {2}: component {1} holds terminal 1, component {3} none
     g = Graph([1, 2, 3], [(1, 2, 1), (2, 3, 2)])
-    terms = frozenset({1})
-    base = frozenset({2})
-    system = next(iter(enumerate_connecting_systems(g, base)))
-    weights = build_weights(g, terms, {2}, base, system)
-    assert weights.rows == ()  # single-vertex base has no subsets
-    assert weights.slots == ((0, 0), (1, 0))
+    inv = CutInvariants(g, {1}, {2})
+    system = next(iter(enumerate_connecting_systems(g, {2})))
+    assert build_weights(inv, system) == []  # single-vertex base has no subsets
+    assert inv.comps == [frozenset({1}), frozenset({3})]
+    assert inv.terminal == [1, None]
 
     # two-vertex base: subset {1, 3} reachable only through component {2}
     g2 = Graph([1, 2, 3, 4], [(1, 2, 1), (2, 3, 1), (1, 4, 5)])
@@ -99,17 +106,18 @@ def test_build_weights_examples():
         s for s in enumerate_connecting_systems(g2, base2) if s.subsets
     ]
     system = systems[0]
-    weights = build_weights(g2, frozenset({4}), {1, 3}, base2, system)
-    by_slot = dict(zip(weights.slots, weights.matrix[0]))
+    inv = CutInvariants(g2, {4}, {1, 3})
+    weights = by_slot(inv, system, 0)
+    assert len(build_weights(inv, system)[0]) == len(inv.comps) * 2
     # component {2} has no terminal: slot (p,0) infinite, slot (p,1) = tree cost
-    comp_two = weights.components.index(frozenset({2}))
-    comp_four = weights.components.index(frozenset({4}))
-    assert by_slot[(comp_two, 0)] == INF
-    assert by_slot[(comp_two, 1)] == 2
+    comp_two = inv.comps.index(frozenset({2}))
+    comp_four = inv.comps.index(frozenset({4}))
+    assert weights[(comp_two, 0)] == INF
+    assert weights[(comp_two, 1)] == 2
     # subset {1,3} cannot be connected inside component {4}
-    assert by_slot[(comp_four, 1)] == INF
+    assert weights[(comp_four, 1)] == INF
     # terminal 4 sits in component {4}: net weight = tree cost - path cost
-    assert by_slot[(comp_four, 0)] == INF  # {1,3,4} not connectable there
+    assert weights[(comp_four, 0)] == INF  # {1,3,4} not connectable there
 
 
 def test_negative_weight_slot():
@@ -119,11 +127,11 @@ def test_negative_weight_slot():
     terms = frozenset({2})
     base = frozenset({1, 3})
     systems = [s for s in enumerate_connecting_systems(g, base) if s.subsets]
-    weights = build_weights(g, terms, {1, 3}, base, systems[0])
-    by_slot = dict(zip(weights.slots, weights.matrix[0]))
-    comp = weights.components.index(frozenset({2, 4}))
+    inv = CutInvariants(g, terms, {1, 3})
+    weights = by_slot(inv, systems[0], 0)
+    comp = inv.comps.index(frozenset({2, 4}))
     sp = shortest_path(g, base, 2)[1]
-    assert by_slot[(comp, 0)] == 2 - sp  # tree 1-2-3 costs 2, path costs 1
+    assert weights[(comp, 0)] == 2 - sp  # tree 1-2-3 costs 2, path costs 1
 
 
 def test_weights_match_brute_force_components():
@@ -143,12 +151,12 @@ def test_weights_match_brute_force_components():
         from steiner.graph import component_graph, connected_components
 
         comps = connected_components(g.without(cut.vertices))
+        inv = CutInvariants(g, terms, cut.vertices)
         for system in enumerate_connecting_systems(g, frozenset(base)):
             if not system.subsets:
                 continue
-            weights = build_weights(g, terms, cut.vertices, frozenset(base), system)
             for i, subset in enumerate(system.subsets):
-                for (p, j), value in zip(weights.slots, weights.matrix[i]):
+                for (p, j), value in by_slot(inv, system, i).items():
                     if value == INF:
                         continue
                     gp = component_graph(g, cut.vertices, p)
@@ -168,9 +176,11 @@ def test_matching_wrapper():
     g2 = Graph([1, 2, 3, 4], [(1, 2, 1), (2, 3, 1), (1, 4, 5)])
     base2 = frozenset({1, 3})
     system = [s for s in enumerate_connecting_systems(g2, base2) if s.subsets][0]
-    weights = build_weights(g2, frozenset({4}), {1, 3}, base2, system)
-    matching, total = minimum_weight_matching(weights)
-    assert total == 2 and len(matching) == 1
+    inv = CutInvariants(g2, {4}, {1, 3})
+    pairs, total = min_cost_assignment(build_weights(inv, system))
+    assert total == 2 and len(pairs) == 1
+    row, col = pairs[0]
+    assert row == 0 and divmod(col, 2) == (inv.comps.index(frozenset({2})), 1)
 
 
 def test_reconstruct_examples():
@@ -178,12 +188,12 @@ def test_reconstruct_examples():
     terms = frozenset({1, 2, 3})
     base = frozenset({4})
     system = next(iter(enumerate_connecting_systems(star, base)))
-    res = reconstruct_tree(star, terms, {4}, base, system, ())
+    res = reconstruct_tree(CutInvariants(star, terms, {4}), system, ())
     assert res.cost == 3 == brute_force_steiner(star, terms).cost
 
     path = Graph([1, 2, 3], [(1, 2, 1), (2, 3, 2)])
     system = next(iter(enumerate_connecting_systems(path, frozenset({2}))))
-    res = reconstruct_tree(path, frozenset({1, 3}), {2}, frozenset({2}), system, ())
+    res = reconstruct_tree(CutInvariants(path, {1, 3}, {2}), system, ())
     assert res.cost == 3
 
 
@@ -207,16 +217,13 @@ def test_reconstruction_cost_bound():
             base = frozenset([sorted(cut.vertices)[0]]) if cut.vertices else None
         if not base:
             continue
-        memo = {}
+        inv = CutInvariants(g, terms, cut.vertices)
         for system in enumerate_connecting_systems(g, base):
-            weights = build_weights(g, terms, cut.vertices, base, system, memo)
-            matched = minimum_weight_matching(weights)
-            if matched is None:
+            solved = min_cost_assignment(build_weights(inv, system))
+            if solved is None:
                 continue
-            matching, total = matched
-            res = reconstruct_tree(
-                g, terms, cut.vertices, base, system, matching, memo
-            )
+            pairs, total = solved
+            res = reconstruct_tree(inv, system, pairs)
             if res is None:
                 continue
             base_cost = sum(g.weight(u, v) for u, v in system.base_edges)
@@ -330,3 +337,48 @@ def test_solve_with_cut_planted_five_cut():
     assert res.cost == dreyfus_wagner(g, terms).cost
     assert terms <= res.tree.vertices and res.tree.is_connected()
     assert res.tree.cost == res.cost
+
+
+def test_solve_with_cut_does_per_solve_work_once(monkeypatch):
+    # one CutInvariants per solve, one matrix per system, one rebuild
+    calls = {}
+
+    def counted(name):
+        original = getattr(steiner.connecting, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(steiner.connecting, name, wrapper)
+
+    for name in ("CutInvariants", "build_weights", "reconstruct_tree"):
+        counted(name)
+    original_enumerate = steiner.connecting.enumerate_connecting_systems
+
+    def enumerate_counted(g, base):
+        for system in original_enumerate(g, base):
+            calls["systems"] = calls.get("systems", 0) + 1
+            yield system
+
+    monkeypatch.setattr(
+        steiner.connecting, "enumerate_connecting_systems", enumerate_counted
+    )
+    # three components of three behind a planted cut {1, 2, 3}
+    rng = random.Random(7)
+    cut = [1, 2, 3]
+    edges, terms = [(1, 2, 4)], {3}
+    for c in range(3):
+        comp = [4 + 3 * c, 5 + 3 * c, 6 + 3 * c]
+        edges += [(comp[0], comp[1], rng.randint(1, 9)), (comp[1], comp[2], rng.randint(1, 9))]
+        for x in cut:
+            edges.append((x, rng.choice(comp), rng.randint(1, 9)))
+        terms.add(comp[2])
+    g = Graph(range(1, 13), edges)
+    assert is_multiway_cut(g, terms, cut)
+    res = solve_with_cut(g, terms, cut)
+    assert res.cost == dreyfus_wagner(g, terms).cost
+    assert calls["CutInvariants"] == 1
+    assert calls["systems"] > 1
+    assert calls["build_weights"] == calls["systems"]
+    assert calls["reconstruct_tree"] == 1

@@ -1,4 +1,6 @@
 
+import time
+
 import pytest
 
 from steiner.cuts import minimum_multiway_cut
@@ -66,6 +68,23 @@ def test_validate_edge_and_leaf_conditions():
 
     with pytest.raises(ValueError):
         validate_decomposition(g, set(), Decomposition(1, {1: {1, 2, 9}}, {}))
+
+
+def test_validate_scales_linearly():
+    # bags of three consecutive vertices along a 20,000-vertex path
+    n = 20_000
+    g = Graph(range(1, n + 1), [(i, i + 1, 1) for i in range(1, n)])
+    bags = {i: {i, i + 1, i + 2} for i in range(1, n - 1)}
+    children = {i: (i + 1,) for i in range(1, n - 2)}
+    started = time.perf_counter()
+    assert validate_decomposition(g, {1, n}, Decomposition(1, bags, children)) is None
+    assert time.perf_counter() - started < 5.0
+
+    # vertex v lives in bags v-2, v-1 and v; without bag v-1 they split
+    v = n // 2
+    bags[v - 1] = bags[v - 1] - {v}
+    bad = validate_decomposition(g, {1, n}, Decomposition(1, bags, children))
+    assert bad is not None and bad.condition == "A" and bad.witness == (v,)
 
 
 def test_decompose_from_cut_examples():
