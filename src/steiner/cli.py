@@ -76,7 +76,7 @@ def _load_cut(instance: Instance, config: SolverConfig) -> MultiwayCut:
 def _check_tree(instance: Instance, result: SteinerResult):
     """Library-side witness sanity check, run before anything is printed."""
     tree = result.tree
-    if tree is None or not result.feasible:
+    if not result.feasible:
         return
     if tree.cost != result.cost:
         raise AssertionError("witness cost does not match the reported value")
@@ -128,7 +128,6 @@ def verify_tree(instance: Instance, edges, value) -> str | None:
 def run(instance: Instance, config: SolverConfig) -> Report:
     """Execute the configured pipeline on one instance."""
     g, terms = instance.graph, instance.terminals
-    want_tree = config.witness or config.verify
     if config.solver == "dw":
         result = dreyfus_wagner(g, terms)
     elif config.solver == "brute":
@@ -148,20 +147,18 @@ def run(instance: Instance, config: SolverConfig) -> Report:
         else:
             dec = decompose_from_multiway_cut(g, terms, _load_cut(instance, config))
         nice = to_nice(g, terms, dec)
-        result = solve_decomposition(g, terms, nice, witness=want_tree)
+        result = solve_decomposition(g, terms, nice)
     else:
         raise ValueError(f"unknown solver {config.solver!r}")
 
     if not result.feasible:
         return Report(INF, None, 2)
     _check_tree(instance, result)
-    edges = None
-    if result.tree is not None:
-        edges = sorted(result.tree.edges)
-        if config.verify:
-            problem = verify_tree(instance, edges, result.cost)
-            if problem:
-                raise AssertionError(f"witness verification failed: {problem}")
+    edges = sorted(result.tree.edges)
+    if config.verify:
+        problem = verify_tree(instance, edges, result.cost)
+        if problem:
+            raise AssertionError(f"witness verification failed: {problem}")
     return Report(result.cost, edges if config.witness else None, 0)
 
 

@@ -30,8 +30,8 @@ from .graph import (
     connected_components,
     edge_key,
     is_multiway_cut,
-    minimum_spanning_tree,
     shortest_path,
+    spanning_tree,
 )
 from .matching import min_cost_assignment
 
@@ -230,7 +230,6 @@ def reconstruct_tree(inv: CutInvariants, system: ConnectingSystem, pairs) -> Ste
     ends = basev | {t for t in inv.terminal if t is not None}
     m = len(system.subsets)
     edges = set(system.base_edges)
-    vertices = set(ends)
     covered = set()
     for i, col in pairs:
         p, j = divmod(col, m + 1)
@@ -242,7 +241,6 @@ def reconstruct_tree(inv: CutInvariants, system: ConnectingSystem, pairs) -> Ste
         if not piece.feasible:
             raise ValueError("assignment uses an infeasible slot")
         edges |= piece.tree.edges
-        vertices |= piece.tree.vertices
     for p, terminal in enumerate(inv.terminal):
         if terminal is None or p in covered:
             continue
@@ -251,16 +249,8 @@ def reconstruct_tree(inv: CutInvariants, system: ConnectingSystem, pairs) -> Ste
             return None
         path, _ = found
         edges |= path.edges
-        vertices |= path.vertices
-    assembled = Subgraph(g, frozenset(vertices), frozenset(edges))
-    for comp in connected_components(assembled):
-        if ends <= comp:
-            inner = Subgraph(
-                g, comp, [e for e in edges if e[0] in comp and e[1] in comp]
-            )
-            tree = minimum_spanning_tree(inner)
-            return SteinerResult(tree.cost, tree)
-    return None
+    tree = spanning_tree(g, edges, ends)
+    return None if tree is None else SteinerResult(tree.cost, tree)
 
 
 def solve_with_cut(g: Graph, terminals, cut) -> SteinerResult:

@@ -420,7 +420,7 @@ def to_nice(g: Graph, terminals, dec: Decomposition) -> NiceDecomposition:
             parent[c] = n
 
     assignment: dict[tuple[int, int], int] = {}
-    loose_edges = []
+    loose = set()
     for u, v in g.edges:
         if u in L or v in L:
             home = leaf_home[u if u in L else v]
@@ -428,20 +428,22 @@ def to_nice(g: Graph, terminals, dec: Decomposition) -> NiceDecomposition:
                 raise AssertionError("leaf edge not covered by its leaf bag")
             assignment[(u, v)] = home
         else:
-            loose_edges.append((u, v))
+            loose.add((u, v))
 
-    anchor_candidates = sorted(
-        n for n in bags if not (kinds[n] == LEAF and bags[n] & L)
-    )
+    # each loose edge is anchored at the first eligible node covering it
     by_anchor: dict[int, list] = {}
-    for e in loose_edges:
-        u, v = e
-        anchor = next(
-            (n for n in anchor_candidates if u in bags[n] and v in bags[n]), None
-        )
-        if anchor is None:
-            raise AssertionError(f"no bag covers edge ({u}, {v}) outside leaf parts")
-        by_anchor.setdefault(anchor, []).append(e)
+    for n in sorted(bags):
+        bag = bags[n]
+        if kinds[n] == LEAF and bag & L:
+            continue
+        for u in bag:
+            for v in g.neighbors(u):
+                if u < v and v in bag and (u, v) in loose:
+                    loose.remove((u, v))
+                    by_anchor.setdefault(n, []).append((u, v))
+    if loose:
+        u, v = min(loose)
+        raise AssertionError(f"no bag covers edge ({u}, {v}) outside leaf parts")
     for anchor in sorted(by_anchor):
         par = parent.get(anchor)
         cur = anchor

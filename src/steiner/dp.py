@@ -1,7 +1,9 @@
 """Dynamic programming over nice decompositions with terminal-free leaf parts.
 
-Every node stores, per used-boundary subset Z, a table of weighted
-partitions of Z summarizing how partial solutions group the boundary.
+Every node stores, per used-boundary subset Z that some partial solution
+reaches, a table of weighted partitions of Z summarizing how partial
+solutions group the boundary; transfer functions map a child's whole
+``{Z: table}`` dict to the node's and never build an empty table.
 Tables are pruned to representative sets after every step, which keeps
 them single-exponential in the boundary size rather than in the number
 of partitions.  Leaf parts are folded in through ``leaf_table``, which
@@ -32,7 +34,8 @@ from .decomposition import (
     validate_nice,
 )
 from .exact import SteinerResult, dreyfus_wagner
-from .graph import INF, Graph, Subgraph, connected_components, minimum_spanning_tree
+from .graph import INF, Graph, Subgraph, spanning_tree
+from .graph import connected_components  # noqa: F401  kept: bench/layers.py rebinds it
 from .partitions import (
     Partition,
     add_singleton,
@@ -86,91 +89,80 @@ def leaf_table(g: Graph, inner, boundary) -> PartitionTable:
     return table
 
 
-def _start_table(z) -> PartitionTable:
-    """Table holding only the empty partial solution on z, at cost zero."""
-    table = PartitionTable(z)
-    table.add(Partition.singletons(z), 0, frozenset())
-    return table
+def _put(out: dict, z, p: Partition, w, wit):
+    """Add an entry to table z of a node's tables, creating it on first use."""
+    table = out.get(z)
+    if table is None:
+        table = out[z] = PartitionTable(z)
+    table.add(p, w, wit)
 
 
-def introduce_vertex(child: dict, v: int, z, terminals) -> PartitionTable:
-    """Table after introducing vertex v, for used-boundary set z.
+def introduce_vertex(child: dict, v: int, terminals) -> dict:
+    """Tables after introducing vertex v.
 
-    An introduced vertex inside z joins every child entry as a fresh
-    singleton; outside z it must not be a terminal, otherwise nothing
-    survives; a non-terminal outside z leaves the table unchanged.
+    Every child entry gains v as a fresh singleton in table z | {v}; a
+    non-terminal v may also stay unused, leaving the entry in table z.
     """
-    zset = frozenset(z)
-    out = PartitionTable(zset)
-    if v in zset:
-        src = child.get(zset - {v})
-        if src is not None:
-            for p, w, wit in src.items():
-                out.add(add_singleton(p, v), w, wit)
-    elif v not in terminals:
-        src = child.get(zset)
-        if src is not None:
-            for p, w, wit in src.items():
-                out.add(p, w, wit)
+    out: dict = {}
+    for z, src in child.items():
+        entries = src.items()
+        with_v = z | {v}
+        for p, w, wit in entries:
+            _put(out, with_v, add_singleton(p, v), w, wit)
+        if v not in terminals:
+            for p, w, wit in entries:
+                _put(out, z, p, w, wit)
     return out
 
 
-def forget_vertex(child: dict, v: int, z) -> PartitionTable:
-    """Table after forgetting vertex v for used-boundary set z.
+def forget_vertex(child: dict, v: int) -> dict:
+    """Tables after forgetting vertex v.
 
     Solutions that never used v carry over; solutions that used v drop it
     from their partition unless it was a singleton block, since every
-    component must stay attached to the boundary.
+    component must stay attached to the boundary.  Child tables are read
+    by size, so table z is read before table z | {v}.
     """
-    zset = frozenset(z)
-    out = PartitionTable(zset)
-    src = child.get(zset)
-    if src is not None:
-        for p, w, wit in src.items():
-            out.add(p, w, wit)
-    src = child.get(zset | {v})
-    if src is not None:
-        for p, w, wit in src.items():
-            if p.is_singleton(v):
-                continue
-            out.add(restrict(p, zset), w, wit)
+    out: dict = {}
+    for z in sorted(child, key=len):
+        kept = z - {v}
+        for p, w, wit in child[z].items():
+            if v not in z:
+                _put(out, z, p, w, wit)
+            elif not p.is_singleton(v):
+                _put(out, kept, restrict(p, kept), w, wit)
     return out
 
 
-def introduce_edge(child: dict, edge, weight: int, z) -> PartitionTable:
-    """Table after making one edge available, for used-boundary set z."""
+def introduce_edge(child: dict, edge, weight: int) -> dict:
+    """Tables after making one edge available to entries whose Z holds both ends."""
     u, v = edge
-    zset = frozenset(z)
-    out = PartitionTable(zset)
-    src = child.get(zset)
-    if src is None:
-        return out
-    use_edge = u in zset and v in zset
-    pairp = pair_partition(zset, u, v) if use_edge else None
     used = frozenset([edge])
-    for p, w, wit in src.items():
-        out.add(p, w, wit)
-        if use_edge:
-            out.add(join(p, pairp), w + weight, (wit, used))
+    out: dict = {}
+    for z, src in child.items():
+        pairp = pair_partition(z, u, v) if u in z and v in z else None
+        for p, w, wit in src.items():
+            _put(out, z, p, w, wit)
+            if pairp is not None:
+                _put(out, z, join(p, pairp), w + weight, (wit, used))
     return out
 
 
-def join_tables(left: dict, right: dict, z) -> PartitionTable:
-    """Table combining two children over the same bag, for used-boundary z.
+def join_tables(left: dict, right: dict) -> dict:
+    """Tables combining two children over the same bag.
 
-    Partitions join and weights add; the children's edge sets are
-    disjoint because every edge is available on exactly one side.
+    Tables with the same used set pair up; partitions join and weights
+    add.  The children's edge sets are disjoint because every edge is
+    available on exactly one side.
     """
-    zset = frozenset(z)
-    out = PartitionTable(zset)
-    a = left.get(zset)
-    b = right.get(zset)
-    if a is None or b is None:
-        return out
-    right_entries = b.items()
-    for p1, w1, wit1 in a.items():
-        for p2, w2, wit2 in right_entries:
-            out.add(join(p1, p2), w1 + w2, (wit1, wit2))
+    out: dict = {}
+    for z, a in left.items():
+        if z not in right:
+            continue
+        right_entries = right[z].items()
+        for p1, w1, wit1 in a.items():
+            for p2, w2, wit2 in right_entries:
+                _put(out, z, join(p1, p2), w1 + w2, (wit1, wit2))
     return out
 
 
@@ -187,20 +179,24 @@ def witness_edges(witness) -> set:
     return edges
 
 
-def _z_subsets(bag, terminals):
-    """Used-boundary subsets in fixed order; each contains the bag terminals."""
-    base = sorted(set(bag) & set(terminals))
-    free = sorted(set(bag) - set(terminals))
-    for mask in range(1 << len(free)):
-        yield frozenset(base + [free[i] for i in range(len(free)) if mask >> i & 1])
+def _bag_start(bag, terminals) -> dict:
+    """Tables of a bag before any edge: its vertices introduced one by one."""
+    empty = PartitionTable(())
+    empty.add(Partition.singletons(()), 0, frozenset())
+    tables = {frozenset(): empty}
+    for v in sorted(bag):
+        tables = introduce_vertex(tables, v, terminals)
+    return tables
 
 
 def compute_tables(g: Graph, terminals, dec: NiceDecomposition):
     """Bottom-up node tables plus the vertex set seen below each node.
 
-    Children of leaf-introduce nodes are folded into their parent via
-    ``leaf_table`` and store no table of their own.  Every table is
-    pruned to a representative set right after it is computed.
+    A node stores one table per used-boundary set Z that some partial
+    solution reaches; every Z holds the bag's terminals.  Children of
+    leaf-introduce nodes are folded into their parent via ``leaf_table``
+    and store no table of their own.  Every table is pruned to a
+    representative set right after it is computed.
     """
     terms = frozenset(terminals)
     tables: dict[int, dict] = {}
@@ -215,10 +211,8 @@ def compute_tables(g: Graph, terminals, dec: NiceDecomposition):
         if node in handled_leaves:
             continue
         kind = dec.kinds[node]
-        node_tables = {}
         if kind == LEAF:
-            for z in _z_subsets(bag, terms):
-                node_tables[z] = _start_table(z)
+            node_tables = _bag_start(bag, terms)
         elif kind == LEAF_INTRODUCE:
             child = kids[0]
             child_bag = dec.bags[child]
@@ -227,46 +221,34 @@ def compute_tables(g: Graph, terminals, dec: NiceDecomposition):
                 child_bag,
                 [(u, v, g.weight(u, v)) for u, v in dec.assigned_edges(child)],
             )
-            for z in _z_subsets(bag, terms):
-                node_tables[z] = leaf_table(part_graph, inner, z) if z else _start_table(z)
+            node_tables = {
+                z: leaf_table(part_graph, inner, z) if z else start
+                for z, start in _bag_start(bag, terms).items()
+            }
         elif kind == INTRODUCE_VERTEX:
-            child = tables[kids[0]]
-            v = dec.intro_vertex[node]
-            for z in _z_subsets(bag, terms):
-                node_tables[z] = introduce_vertex(child, v, z, terms)
+            node_tables = introduce_vertex(tables[kids[0]], dec.intro_vertex[node], terms)
         elif kind == FORGET_VERTEX:
-            child = tables[kids[0]]
-            v = dec.intro_vertex[node]
-            for z in _z_subsets(bag, terms):
-                node_tables[z] = forget_vertex(child, v, z)
+            node_tables = forget_vertex(tables[kids[0]], dec.intro_vertex[node])
         elif kind == INTRODUCE_EDGE:
-            child = tables[kids[0]]
             e = dec.intro_edge[node]
-            w = g.weight(*e)
-            for z in _z_subsets(bag, terms):
-                node_tables[z] = introduce_edge(child, e, w, z)
+            node_tables = introduce_edge(tables[kids[0]], e, g.weight(*e))
         elif kind == JOIN:
-            left, right = tables[kids[0]], tables[kids[1]]
-            for z in _z_subsets(bag, terms):
-                node_tables[z] = join_tables(left, right, z)
+            node_tables = join_tables(tables[kids[0]], tables[kids[1]])
         else:
             raise AssertionError(f"unhandled node kind {kind!r}")
         tables[node] = {z: reduce_partitions(t) for z, t in node_tables.items()}
     return tables, below
 
 
-def solve_decomposition(
-    g: Graph, terminals, dec: NiceDecomposition, witness: bool = False
-) -> SteinerResult:
+def solve_decomposition(g: Graph, terminals, dec: NiceDecomposition) -> SteinerResult:
     """Minimum-weight Steiner tree via the decomposition DP.
 
     The answer is the cheapest single-block entry over all nodes whose
     seen-below vertex set already covers the terminals (the root always
     qualifies; checking the others also covers optima that avoid the
-    root bag entirely).  With ``witness`` enabled the winning entry's
-    witness is flattened into its edge set, padded with the vertices of
-    Z, and its terminal component is returned as a minimum spanning tree,
-    which must cost exactly the table weight.
+    root bag entirely).  The winning entry's witness is flattened into
+    its edge set and returned as a minimum spanning tree of its terminal
+    component, which must cost exactly the table weight.
     """
     terms = frozenset(terminals)
     if not terms <= g.vertex_set:
@@ -290,21 +272,14 @@ def solve_decomposition(
             for p, w in table.entries():
                 if len(p) == 1 and w < best_weight:
                     best_weight = w
-                    best_entry = (table, p, z)
+                    best_entry = (table, p)
     if best_weight == INF:
-        return SteinerResult(INF, g.empty_subgraph() if witness else None)
-    if not witness:
-        return SteinerResult(best_weight, None)
+        return SteinerResult(INF, g.empty_subgraph())
 
-    table, p, z = best_entry
-    edges = witness_edges(table.witness(p))
-    padded = Subgraph(g, z.union(*edges), edges)
-    for comp in connected_components(padded):
-        if terms <= comp:
-            tree = minimum_spanning_tree(
-                Subgraph(g, comp, [e for e in edges if e[0] in comp and e[1] in comp])
-            )
-            if tree.cost != best_weight:
-                raise AssertionError("witness cost disagrees with the table weight")
-            return SteinerResult(best_weight, tree)
-    raise AssertionError("witness does not span the terminals")
+    table, p = best_entry
+    tree = spanning_tree(g, witness_edges(table.witness(p)), terms)
+    if tree is None:
+        raise AssertionError("witness does not span the terminals")
+    if tree.cost != best_weight:
+        raise AssertionError("witness cost disagrees with the table weight")
+    return SteinerResult(best_weight, tree)

@@ -25,13 +25,14 @@ from .graph import (
 class SteinerResult:
     """Cost and witness tree of a Steiner computation.
 
-    ``cost`` is INF (and the tree empty) when the terminals cannot be
-    connected.  A present finite-cost tree is connected, acyclic, spans
-    the terminals and its edge weights sum to ``cost``.
+    Every solver returns the tree.  ``cost`` is INF (and the tree empty)
+    when the terminals cannot be connected; otherwise the tree is
+    connected, acyclic, spans the terminals and its edge weights sum to
+    ``cost``.
     """
 
     cost: int | float
-    tree: Subgraph | None
+    tree: Subgraph
 
     @property
     def feasible(self) -> bool:

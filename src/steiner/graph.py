@@ -304,6 +304,22 @@ def minimum_spanning_tree(g) -> Subgraph:
     return Subgraph(parent, frozenset(vertices), frozenset(chosen))
 
 
+def spanning_tree(g: Graph, edges, ends) -> Subgraph | None:
+    """Minimum spanning tree of the part of ``edges`` that connects ``ends``.
+
+    The edges, together with the vertices ``ends``, form a subgraph of
+    ``g``; returns the minimum spanning tree of its component that holds
+    all of ``ends``, or None when no component does.
+    """
+    ends = frozenset(ends)
+    assembled = Subgraph(g, ends.union(*edges), edges)
+    for comp in connected_components(assembled):
+        if ends <= comp:
+            inner = [e for e in assembled.edges if e[0] in comp]
+            return minimum_spanning_tree(Subgraph(g, comp, inner))
+    return None
+
+
 def boundary_graph(g: Graph, cut, comp) -> Graph:
     """The graph induced on ``comp``, a component of ``g - cut``, plus its boundary.
 

@@ -232,10 +232,10 @@ def test_criterion_8_witness_integrity():
             "dw": dreyfus_wagner(g, terms),
             "brute": brute_force_steiner(g, terms),
             "mwc": solve_with_cut(g, terms, cut),
-            "kfree": solve_decomposition(g, terms, nice, witness=True),
+            "kfree": solve_decomposition(g, terms, nice),
         }
         for solver, res in results.items():
-            if not res.feasible or res.tree is None:
+            if not res.feasible:
                 continue
             problem = verify_tree(instance, sorted(res.tree.edges), res.cost)
             if problem is not None:

@@ -134,6 +134,20 @@ def test_to_nice_structure():
         assert set(nice.edge_assignment) == set(inst.graph.edges)
 
 
+def test_to_nice_scales_linearly():
+    # edge bags along a 20,000-vertex path: each edge finds its anchor
+    # node without a scan over all nodes
+    n = 20_000
+    g = Graph(range(1, n + 1), [(i, i + 1, 1) for i in range(1, n)])
+    bags = {i: {i, i + 1} for i in range(1, n)}
+    children = {i: (i + 1,) for i in range(1, n - 1)}
+    dec = Decomposition(1, bags, children)
+    started = time.perf_counter()
+    nice = to_nice(g, {1, n}, dec)
+    assert time.perf_counter() - started < 5.0
+    assert set(nice.edge_assignment) == set(g.edges)
+
+
 def test_to_nice_trivial_bag():
     g = path_graph()
     nice = to_nice(g, {1, 3}, trivial_decomposition(g))

@@ -89,63 +89,63 @@ def test_leaf_table_represents_all_subgraphs():
 def test_introduce_vertex_cases():
     z = frozenset({1, 2})
     child = {frozenset({1}): table_of((1,), (P((1,), {1}), 3))}
-    out = introduce_vertex(child, 2, z, terminals=set())
-    assert out.weight(P((1, 2), {1}, {2})) == 3
+    out = introduce_vertex(child, 2, terminals=set())
+    assert out[z].weight(P((1, 2), {1}, {2})) == 3
 
-    # introducing a terminal outside the used set kills the table
-    child = {frozenset({1}): table_of((1,), (P((1,), {1}), 3))}
-    out = introduce_vertex(child, 2, frozenset({1}), terminals={2})
-    assert len(out) == 0
+    # a terminal must be used: no table without it survives
+    out = introduce_vertex(child, 2, terminals={2})
+    assert set(out) == {z}
 
-    out = introduce_vertex(child, 2, frozenset({1}), terminals=set())
-    assert out.weight(P((1,), {1})) == 3
+    out = introduce_vertex(child, 2, terminals=set())
+    assert out[frozenset({1})].weight(P((1,), {1})) == 3
 
 
 def test_forget_vertex_cases():
     z = frozenset({1})
     grouped = table_of((1, 9), (P((1, 9), {1, 9}), 4))
     child = {frozenset({1, 9}): grouped}
-    out = forget_vertex(child, 9, z)
-    assert out.weight(P((1,), {1})) == 4
+    out = forget_vertex(child, 9)
+    assert out[z].weight(P((1,), {1})) == 4
 
     lonely = table_of((1, 9), (P((1, 9), {1}, {9}), 4))
-    out = forget_vertex({frozenset({1, 9}): lonely}, 9, z)
-    assert len(out) == 0  # singleton blocks may not be forgotten
+    out = forget_vertex({frozenset({1, 9}): lonely}, 9)
+    assert z not in out  # singleton blocks may not be forgotten
 
     kept = table_of((1,), (P((1,), {1}), 2))
-    out = forget_vertex({frozenset({1}): kept, frozenset({1, 9}): lonely}, 9, z)
-    assert out.weight(P((1,), {1})) == 2
+    out = forget_vertex({frozenset({1}): kept, frozenset({1, 9}): lonely}, 9)
+    assert out[z].weight(P((1,), {1})) == 2
 
 
 def test_introduce_edge_cases():
     z = frozenset({1, 2})
     child = {z: table_of((1, 2), (P((1, 2), {1}, {2}), 0))}
-    out = introduce_edge(child, (1, 2), 3, z)
-    assert out.weight(P((1, 2), {1}, {2})) == 0
-    assert out.weight(P((1, 2), {1, 2})) == 3
+    out = introduce_edge(child, (1, 2), 3)
+    assert out[z].weight(P((1, 2), {1}, {2})) == 0
+    assert out[z].weight(P((1, 2), {1, 2})) == 3
 
-    child = {frozenset({2}): table_of((2,), (P((2,), {2}), 1))}
-    out = introduce_edge(child, (1, 9), 3, frozenset({2}))
-    assert out.weight(P((2,), {2})) == 1
+    z2 = frozenset({2})
+    child = {z2: table_of((2,), (P((2,), {2}), 1))}
+    out = introduce_edge(child, (1, 9), 3)
+    assert out[z2].weight(P((2,), {2})) == 1
 
     merged = table_of((1, 2), (P((1, 2), {1, 2}), 5))
-    out = introduce_edge({z: merged}, (1, 2), 2, z)
-    assert out.weight(P((1, 2), {1, 2})) == 5  # re-adding is dominated
+    out = introduce_edge({z: merged}, (1, 2), 2)
+    assert out[z].weight(P((1, 2), {1, 2})) == 5  # re-adding is dominated
 
 
 def test_join_tables_cases():
     z = frozenset({1, 2})
     left = {z: table_of((1, 2), (P((1, 2), {1}, {2}), 1))}
     right = {z: table_of((1, 2), (P((1, 2), {1, 2}), 2))}
-    out = join_tables(left, right, z)
-    assert out.weight(P((1, 2), {1, 2})) == 3
+    out = join_tables(left, right)
+    assert out[z].weight(P((1, 2), {1, 2})) == 3
 
-    out = join_tables({}, right, z)
-    assert len(out) == 0
+    out = join_tables({}, right)
+    assert z not in out
 
     single = {frozenset({1}): table_of((1,), (P((1,), {1}), 0))}
-    out = join_tables(single, single, frozenset({1}))
-    assert out.weight(P((1,), {1})) == 0
+    out = join_tables(single, single)
+    assert out[frozenset({1})].weight(P((1,), {1})) == 0
 
 
 def pipeline(instance):
@@ -175,7 +175,7 @@ def test_single_bag_with_leaf_part():
         dec = Decomposition(1, {1: g.vertex_set}, {}, g.vertex_set - terms)
         assert validate_decomposition(g, terms, dec) is None
         nice = to_nice(g, terms, dec)
-        res = solve_decomposition(g, terms, nice, witness=True)
+        res = solve_decomposition(g, terms, nice)
         assert res.cost == brute_force_steiner(g, terms).cost
         if res.feasible:
             assert res.tree.cost == res.cost
@@ -200,7 +200,7 @@ def test_solve_with_fallback_cut_decomposition():
         cut = default_multiway_cut(g, terms)
         dec = decompose_from_multiway_cut(g, terms, cut)
         nice = to_nice(g, terms, dec)
-        res = solve_decomposition(g, terms, nice, witness=True)
+        res = solve_decomposition(g, terms, nice)
         assert res.cost == brute_force_steiner(g, terms).cost, f"seed {seed}"
 
 
@@ -209,9 +209,11 @@ def test_table_sizes_stay_bounded():
         inst = random_instance(seed, nmax=9, kmax=3)
         nice = pipeline(inst)
         tables, _ = compute_tables(inst.graph, inst.terminals, nice)
-        for per_node in tables.values():
+        for node, per_node in tables.items():
+            bag_terms = nice.bags[node] & inst.terminals
             for z, table in per_node.items():
-                assert len(table) <= 2 ** max(0, len(z) - 1)
+                assert 0 < len(table) <= 2 ** max(0, len(z) - 1)
+                assert bag_terms <= z <= nice.bags[node]
 
 
 def test_standard_decomposition_cross_check():
@@ -226,9 +228,7 @@ def test_standard_decomposition_cross_check():
         assert not any(kind == "leaf-introduce" for kind in nice.kinds.values())
         res = solve_decomposition(inst.graph, inst.terminals, nice)
         assert res.cost == dreyfus_wagner(inst.graph, inst.terminals).cost
-        tree = solve_decomposition(inst.graph, inst.terminals, nice, witness=True)
-        assert tree.cost == res.cost
-        assert verify_tree(inst, sorted(tree.tree.edges), tree.cost) is None
+        assert verify_tree(inst, sorted(res.tree.edges), res.cost) is None
 
 
 def test_long_path_decomposition():
@@ -242,7 +242,7 @@ def test_long_path_decomposition():
     dec = Decomposition(
         1, {i: {i, i + 1} for i in range(1, n)}, {i: [i + 1] for i in range(1, n - 1)}
     )
-    res = solve_decomposition(g, terms, to_nice(g, terms, dec), witness=True)
+    res = solve_decomposition(g, terms, to_nice(g, terms, dec))
     assert res.cost == n - 1
     assert res.tree.edges == frozenset(g.edges)
 
@@ -269,7 +269,7 @@ def test_mixed_leaf_decompositions_match_oracle():
         promoted = Decomposition(dec.root, dec.bags, dec.children, loose)
         assert validate_decomposition(g, terms, promoted) is None
         nice = to_nice(g, terms, promoted)
-        res = solve_decomposition(g, terms, nice, witness=True)
+        res = solve_decomposition(g, terms, nice)
         assert res.cost == brute_force_steiner(g, terms).cost
         if loose:
             exercised += 1
@@ -289,7 +289,7 @@ def test_optimum_avoiding_the_root_bag():
     )
     assert validate_decomposition(g, terms, dec) is None
     nice = to_nice(g, terms, dec)
-    res = solve_decomposition(g, terms, nice, witness=True)
+    res = solve_decomposition(g, terms, nice)
     assert res.cost == 1
     assert res.tree.edges == frozenset({(1, 2)})
 
@@ -300,7 +300,7 @@ def test_zero_weight_edges():
     want = brute_force_steiner(g, terms).cost
     assert want == 5
     nice = pipeline(type("I", (), {"graph": g, "terminals": terms})())
-    res = solve_decomposition(g, terms, nice, witness=True)
+    res = solve_decomposition(g, terms, nice)
     assert res.cost == want and res.tree.cost == want
 
 
@@ -308,7 +308,7 @@ def test_witness_consistency():
     for seed in range(60):
         inst = random_instance(seed, nmax=9, kmax=4)
         nice = pipeline(inst)
-        res = solve_decomposition(inst.graph, inst.terminals, nice, witness=True)
+        res = solve_decomposition(inst.graph, inst.terminals, nice)
         if not res.feasible:
             continue
         tree = res.tree

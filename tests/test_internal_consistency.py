@@ -73,7 +73,7 @@ def test_huge_weights_exact_across_solvers():
         cut = minimum_multiway_cut(g, terms, 2)
         assert solve_with_cut(g, terms, cut).cost == want
         nice = to_nice(g, terms, decompose_from_multiway_cut(g, terms, cut))
-        res = solve_decomposition(g, terms, nice, witness=True)
+        res = solve_decomposition(g, terms, nice)
         assert res.cost == want and res.tree.cost == want
 
 
