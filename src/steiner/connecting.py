@@ -28,11 +28,12 @@ from .graph import (
     Subgraph,
     boundary_graph,
     connected_components,
+    cut_components,
     edge_key,
-    is_multiway_cut,
     shortest_path,
     spanning_tree,
 )
+from .graph import is_multiway_cut  # noqa: F401  kept: bench/layers.py rebinds it
 from .matching import min_cost_assignment
 
 
@@ -142,23 +143,22 @@ def _listed(vertices, has_edge, cache):
 class CutInvariants:
     """What every guess of one solve shares, computed once.
 
-    The components of ``g - cutset``, one boundary graph per component,
-    the terminal of each component with its distances to every vertex of
-    ``g``, each base's distances to those terminals, and the minimum
-    Steiner trees found inside components so far.
+    The components of ``g - cutset`` (one ``cut_components`` pass, which
+    also checks the cut), one boundary graph per component, the terminal
+    of each component with its distances to every vertex of ``g``, each
+    base's distances to those terminals, and the minimum Steiner trees
+    found inside components so far.  Raises ValueError when ``cutset`` is
+    not a multiway cut for the terminals.
     """
 
     def __init__(self, g: Graph, terminals, cutset):
         self.g = g
-        self.comps = connected_components(g.without(cutset))
-        self.graphs = [boundary_graph(g, cutset, comp) for comp in self.comps]
         terms = frozenset(terminals)
-        self.terminal = []
-        for comp in self.comps:
-            inside = sorted(comp & terms)
-            if len(inside) > 1:
-                raise ValueError("input is not a multiway cut for the terminals")
-            self.terminal.append(inside[0] if inside else None)
+        self.comps = cut_components(g, terms, cutset)
+        if self.comps is None:
+            raise ValueError("input vertex set is not a multiway cut for the terminals")
+        self.graphs = [boundary_graph(g, cutset, comp) for comp in self.comps]
+        self.terminal = [min(comp & terms, default=None) for comp in self.comps]
         self._dists = [None if t is None else _dijkstra(g, t)[0] for t in self.terminal]
         self._reach = {}
         self._trees = {}
@@ -270,14 +270,12 @@ def solve_with_cut(g: Graph, terminals, cut) -> SteinerResult:
     terms = frozenset(terminals)
     if not terms <= g.vertex_set:
         raise ValueError("terminals must be graph vertices")
-    if not is_multiway_cut(g, terms, cutset):
-        raise ValueError("input vertex set is not a multiway cut for the terminals")
+    inv = CutInvariants(g, terms, cutset)
     if len(terms) <= 1:
         return SteinerResult(0, Subgraph(g, terms, frozenset()))
     if not any(terms <= comp for comp in connected_components(g)):
         return SteinerResult(INF, g.empty_subgraph())
 
-    inv = CutInvariants(g, terms, cutset)
     forced = terms & cutset
     optional = sorted(cutset - terms)
     best_value, best = INF, None

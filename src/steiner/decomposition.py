@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cuts import MultiwayCut
-from .graph import Graph, connected_components, is_multiway_cut
+from .graph import Graph, cut_components
+from .graph import connected_components  # noqa: F401  kept: bench/layers.py rebinds it
+from .graph import is_multiway_cut  # noqa: F401  kept: bench/layers.py rebinds it
 
 
 @dataclass(frozen=True)
@@ -187,9 +189,9 @@ def decompose_from_multiway_cut(g: Graph, terminals, cut) -> Decomposition:
     """
     cutset = cut.vertices if isinstance(cut, MultiwayCut) else frozenset(cut)
     terms = frozenset(terminals)
-    if not is_multiway_cut(g, terms, cutset):
+    comps = cut_components(g, terms, cutset)
+    if comps is None:
         raise ValueError("input vertex set is not a multiway cut for the terminals")
-    comps = connected_components(g.without(cutset))
     bags = {1: cutset}
     children = {1: tuple(range(2, 2 + len(comps)))}
     loose: set[int] = set()

@@ -113,13 +113,6 @@ class Graph:
         ]
         return Graph(keep, es)
 
-    def without(self, vertices) -> "Graph":
-        """New graph with the given vertices (and incident edges) deleted."""
-        drop = frozenset(vertices)
-        if not drop <= self._vset:
-            raise ValueError("deleted vertex set is not a subset of the graph")
-        return self.induced(self._vset - drop)
-
     def subgraph(self, vertices, edges=None) -> "Subgraph":
         """Subgraph view on this graph; edges default to all induced edges."""
         vs = frozenset(vertices)
@@ -200,13 +193,14 @@ class Subgraph:
         return f"Subgraph({sorted(self.vertices)}, {sorted(self.edges)})"
 
 
-def connected_components(g) -> list[frozenset[int]]:
-    """Maximal connected vertex sets of a Graph or Subgraph.
+def connected_components(g, without=()) -> list[frozenset[int]]:
+    """Maximal connected vertex sets of a Graph or Subgraph, skipping ``without``.
 
-    Components are ordered by their smallest vertex, which makes every
-    downstream iteration deterministic.
+    So ``connected_components(g, cut)`` is the components of ``g - cut``,
+    found without building that graph.  Components are ordered by their
+    smallest vertex, which makes every downstream iteration deterministic.
     """
-    seen = set()
+    seen = set(without)
     out = []
     for start in sorted(g.vertices):
         if start in seen:
@@ -216,7 +210,7 @@ def connected_components(g) -> list[frozenset[int]]:
         while stack:
             v = stack.pop()
             for u in g.neighbors(v):
-                if u not in comp:
+                if u not in comp and u not in seen:
                     comp.add(u)
                     stack.append(u)
         seen |= comp
@@ -345,22 +339,28 @@ def component_graph(g: Graph, cut, index: int) -> Graph:
     Components are indexed in sorted order (smallest member first).
     """
     cutset = frozenset(cut)
-    comps = connected_components(g.without(cutset))
+    comps = cut_components(g, (), cutset)
     if not 0 <= index < len(comps):
         raise ValueError(f"component index {index} out of range (q={len(comps)})")
     return boundary_graph(g, cutset, comps[index])
 
 
-def is_multiway_cut(g: Graph, terminals, cut) -> bool:
-    """True iff every component of ``g - cut`` holds at most one terminal.
+def cut_components(g: Graph, terminals, cut) -> list[frozenset[int]] | None:
+    """The components of ``g - cut``, or None when one holds two terminals.
 
-    Terminals inside the cut are removed along with it.
+    Terminals inside the cut are removed along with it.  Raises
+    ValueError when the cut is not a subset of the graph.
     """
     cutset = frozenset(cut)
     if not cutset <= g.vertex_set:
         raise ValueError("cut is not a subset of the graph")
-    terms = frozenset(terminals) - cutset
-    for comp in connected_components(g.without(cutset)):
-        if len(comp & terms) > 1:
-            return False
-    return True
+    terms = frozenset(terminals)
+    comps = connected_components(g, cutset)
+    if any(len(comp & terms) > 1 for comp in comps):
+        return None
+    return comps
+
+
+def is_multiway_cut(g: Graph, terminals, cut) -> bool:
+    """True iff every component of ``g - cut`` holds at most one terminal."""
+    return cut_components(g, terminals, cut) is not None

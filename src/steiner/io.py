@@ -160,11 +160,14 @@ def parse_cut(text: str) -> frozenset[int]:
     if tokens[0] != "CUT" or len(tokens) != 2:
         raise FormatError("cut file must start with 'CUT <size>'", no)
     size = _int(tokens[1], no)
-    vertices = []
+    vertices = set()
     for no, tokens in lines[1:]:
         if len(tokens) != 1:
             raise FormatError("expected one vertex id per line", no)
-        vertices.append(_int(tokens[0], no))
+        v = _int(tokens[0], no)
+        if v in vertices:
+            raise FormatError(f"duplicate cut vertex {v}", no)
+        vertices.add(v)
     if len(vertices) != size:
         raise FormatError(f"declared {size} cut vertices but found {len(vertices)}")
     return frozenset(vertices)

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+import steiner.cuts
 from steiner.graph import (
     Graph,
     Subgraph,
     component_graph,
     connected_components,
+    cut_components,
     is_multiway_cut,
     minimum_spanning_tree,
     shortest_path,
@@ -41,7 +43,7 @@ def test_huge_weights_sum_exactly():
 def test_connected_components_examples():
     assert connected_components(Graph([], [])) == []
     assert connected_components(path_graph()) == [frozenset({1, 2, 3})]
-    assert connected_components(path_graph().without({2})) == [
+    assert connected_components(path_graph(), {2}) == [
         frozenset({1}),
         frozenset({3}),
     ]
@@ -154,6 +156,47 @@ def test_is_multiway_cut_monotone():
         if is_multiway_cut(g, terms, cut):
             extra = cut | {v for v in verts if rng.random() < 0.3}
             assert is_multiway_cut(g, terms, extra)
+
+
+def test_cut_components_match_induced_graph():
+    # the oracle builds g - cut as an induced Graph
+    rng = random.Random(29)
+    for _ in range(250):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.randint(0, 14))
+        verts = sorted(g.vertex_set)
+        terms = set(rng.sample(verts, rng.randint(0, min(n, 4))))
+        cut = {v for v in verts if rng.random() < 0.3}
+        induced = connected_components(g.induced(g.vertex_set - cut))
+        assert connected_components(g, cut) == induced
+        separated = all(len(comp & terms) <= 1 for comp in induced)
+        assert is_multiway_cut(g, terms, cut) == separated
+        assert cut_components(g, terms, cut) == (induced if separated else None)
+    with pytest.raises(ValueError):
+        is_multiway_cut(path_graph(), {1, 3}, {4})
+
+
+def test_cut_search_builds_no_graph(monkeypatch):
+    n = 12
+    g = Graph(range(1, n + 1), [(u, v, 1) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
+    built, candidates = [], []
+    init, check = Graph.__init__, steiner.cuts.is_multiway_cut
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_check(*args):
+        candidates.append(1)
+        return check(*args)
+
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    monkeypatch.setattr(steiner.cuts, "is_multiway_cut", counted_check)
+    # in a complete graph every cut holds all terminals but one
+    found = steiner.cuts.minimum_multiway_cut(g, {9, 10, 11, 12}, 3)
+    assert found.vertices == frozenset({9, 10, 11})
+    assert len(candidates) >= 100
+    assert built == []
 
 
 def test_subgraph_checks():

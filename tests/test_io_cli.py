@@ -9,6 +9,7 @@ import pytest
 
 import steiner
 from steiner.cli import main, run, SolverConfig, verify_tree
+from steiner.connecting import solve_with_cut
 from steiner.cuts import minimum_multiway_cut
 from steiner.decomposition import (
     decompose_from_multiway_cut,
@@ -136,6 +137,8 @@ def test_cut_file_round_trip():
     assert parse_cut(emit_cut(cut)) == cut
     with pytest.raises(FormatError):
         parse_cut("CUT 2\n5\n")
+    with pytest.raises(FormatError, match="line 3: duplicate cut vertex 5"):
+        parse_cut("CUT 2\n5\n5\n")
 
 
 def test_decomposition_file_round_trip():
@@ -235,6 +238,54 @@ def test_cli_rejects_bad_cut_file(tmp_path, capsys):
     cut_file.write_text("CUT 0\n")
     code = main(["solve", str(gr), "--solver", "mwc", "--cut", str(cut_file)])
     assert code == 1
+
+
+# path 1-2-3-4 with terminals 1, 2 and 4
+CUT_INSTANCE = """\
+SECTION Graph
+Nodes 4
+Edges 3
+E 1 2 1
+E 2 3 2
+E 3 4 1
+END
+
+SECTION Terminals
+Terminals 3
+T 1
+T 2
+T 4
+END
+
+EOF
+"""
+
+
+@pytest.mark.parametrize("cut_text", ["CUT 1\n99\n", "CUT 1\n3\n"], ids=["outside", "joins-1-2"])
+@pytest.mark.parametrize("solver", ["mwc", "kfree"])
+def test_solver_rejects_bad_cut_file(tmp_path, capsys, solver, cut_text):
+    gr = tmp_path / "inst.gr"
+    gr.write_text(CUT_INSTANCE)
+    cut_file = tmp_path / "bad.cut"
+    cut_file.write_text(cut_text)
+    code, out = run_cli(capsys, "solve", str(gr), "--solver", solver, "--cut", str(cut_file))
+    assert code == 1 and out == ""
+    inst, cut = parse_pace(CUT_INSTANCE), parse_cut(cut_text)
+    with pytest.raises(ValueError):
+        solve_with_cut(inst.graph, inst.terminals, cut)
+    with pytest.raises(ValueError):
+        decompose_from_multiway_cut(inst.graph, inst.terminals, cut)
+
+
+def test_cli_rejects_invalid_tkd_file(tmp_path, capsys):
+    gr = tmp_path / "path.gr"
+    gr.write_text(PATH_INSTANCE)
+    tkd = tmp_path / "bad.tkd"
+    tkd.write_text("TKD 1 1\nROOT 1\nB 1 2 1 2\nL 0\n")  # vertex 3 in no bag
+    code = main(["solve", str(gr), "--solver", "kfree", "--decomp", str(tkd)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "invalid decomposition" in captured.err
 
 
 def test_verify_tree_independent_checker():
