@@ -270,7 +270,7 @@ def solve_decomposition(g: Graph, terminals, dec: NiceDecomposition) -> SteinerR
                 continue
             table = tables[node][z]
             for p, w in table.entries():
-                if len(p) == 1 and w < best_weight:
+                if len(p.blocks) == 1 and w < best_weight:
                     best_weight = w
                     best_entry = (table, p)
     if best_weight == INF:

@@ -20,6 +20,8 @@ from .graph import (
     minimum_spanning_tree,
 )
 
+MAX_TERMINALS = 20  # Dreyfus-Wagner's tables grow as 3^|K|, so |K| is capped
+
 
 @dataclass(frozen=True)
 class SteinerResult:
@@ -61,7 +63,7 @@ def _dijkstra(g: Graph, source: int):
     return dist, parent
 
 
-def dreyfus_wagner(g: Graph, terminals, limit: int = 20) -> SteinerResult:
+def dreyfus_wagner(g: Graph, terminals) -> SteinerResult:
     """Minimum-cost Steiner tree via the Dreyfus-Wagner dynamic program.
 
     Table D[T][v] holds the optimum for terminal subset T plus extra
@@ -73,8 +75,8 @@ def dreyfus_wagner(g: Graph, terminals, limit: int = 20) -> SteinerResult:
     for t in terms:
         if t not in g:
             raise ValueError(f"terminal {t} not in graph")
-    if len(terms) > limit:
-        raise ValueError(f"terminal set larger than the configured limit ({limit})")
+    if len(terms) > MAX_TERMINALS:
+        raise ValueError(f"terminal set larger than the limit of {MAX_TERMINALS}")
     if len(terms) <= 1:
         return SteinerResult(0, Subgraph(g, frozenset(terms), frozenset()))
 

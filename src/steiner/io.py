@@ -17,6 +17,7 @@ from collections import namedtuple
 from .graph import Graph
 
 MAX_NODES = 1_000_000  # every declared vertex is built, so the count is capped
+MAX_GENERATE_NODES = 2_000  # the generator lists all n(n-1)/2 vertex pairs
 
 
 class FormatError(ValueError):
@@ -279,11 +280,14 @@ def generate_instance(seed: int, n: int, m: int, k: int, wmax: int) -> Instance:
     """Reproducible random connected instance.
 
     A random recursive tree guarantees connectivity; the remaining edges
-    are drawn uniformly from the non-tree pairs.  Identical parameters
-    always produce byte-identical instances.
+    are drawn uniformly from the non-tree pairs, so ``n`` is capped at
+    ``MAX_GENERATE_NODES``.  Identical parameters always produce
+    byte-identical instances.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
+    if n > MAX_GENERATE_NODES:
+        raise ValueError(f"{n} vertices exceed the generator limit of {MAX_GENERATE_NODES}")
     if not 0 <= k <= n:
         raise ValueError("terminal count out of range")
     if wmax < 1:

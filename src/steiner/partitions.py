@@ -2,14 +2,16 @@
 
 This is the connectivity bookkeeping language of the decomposition DP: a
 partial solution is summarized by how it groups the boundary vertices.
-Blocks are bitmasks over the sorted universe (at most 62 elements), which
-keeps the lattice join and the cut-matrix rows of the representative-set
+A partition is a plain ``(universe, blocks)`` tuple value whose blocks
+are bitmasks over the sorted universe (at most 62 elements), which keeps
+the lattice join and the cut-matrix rows of the representative-set
 machinery at a few word operations per block.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 
 from .graph import Subgraph, connected_components
 
@@ -23,20 +25,23 @@ def _bits(mask: int):
         mask ^= low
 
 
-class Partition:
+def _canonical(masks) -> tuple[int, ...]:
+    """Nonzero masks sorted by lowest set bit: the one order ``blocks`` uses."""
+    return tuple(sorted((m for m in masks if m), key=lambda m: m & -m))
+
+
+class Partition(namedtuple("Partition", ("universe", "blocks"))):
     """A partition of an ordered universe into disjoint covering blocks.
 
-    ``universe`` is a sorted tuple of vertex ids and ``blocks`` a tuple of
-    bitmasks over it, canonically ordered by smallest member.  Equality
-    and hashing are structural.
+    A plain ``(universe, blocks)`` tuple value: ``universe`` is a sorted
+    tuple of vertex ids and ``blocks`` a tuple of nonzero bitmasks over
+    it, ordered by lowest set bit, so tuple equality and hashing are
+    structural.  ``len(p.blocks)`` counts the blocks; ``len(p)`` is the
+    tuple's 2.  The constructor trusts its arguments: the functions of
+    this module build every partition with canonical blocks.
     """
 
-    __slots__ = ("universe", "blocks")
-
-    def __init__(self, universe: tuple[int, ...], blocks):
-        # Trusted fast path: callers must pass disjoint covering masks.
-        self.universe = universe
-        self.blocks = tuple(sorted((m for m in blocks if m), key=lambda m: m & -m))
+    __slots__ = ()
 
     @classmethod
     def from_sets(cls, universe, groups) -> "Partition":
@@ -55,23 +60,20 @@ class Partition:
             if m & seen:
                 raise ValueError("blocks overlap")
             seen |= m
-            if m:
-                masks.append(m)
+            masks.append(m)
         if seen != (1 << len(uni)) - 1:
             raise ValueError("blocks must cover the universe")
-        return cls(uni, masks)
+        return cls(uni, _canonical(masks))
 
     @classmethod
     def singletons(cls, universe) -> "Partition":
         uni = tuple(sorted(set(universe)))
-        return cls(uni, [1 << i for i in range(len(uni))])
+        return cls(uni, tuple(1 << i for i in range(len(uni))))
 
     @classmethod
     def single_block(cls, universe) -> "Partition":
         uni = tuple(sorted(set(universe)))
-        if not uni:
-            return cls(uni, [])
-        return cls(uni, [(1 << len(uni)) - 1])
+        return cls(uni, ((1 << len(uni)) - 1,) if uni else ())
 
     def as_sets(self) -> list[frozenset[int]]:
         uni = self.universe
@@ -91,22 +93,6 @@ class Partition:
     def is_singleton(self, v: int) -> bool:
         """True iff ``v`` forms a block on its own."""
         return 1 << self.universe.index(v) in self.blocks
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        """Canonical sort key among partitions of the same universe."""
-        return self.blocks
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.universe == other.universe and self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.universe, self.blocks))
 
     def __repr__(self):
         sets = "/".join(
@@ -134,7 +120,7 @@ def join(p: Partition, q: Partition) -> Partition:
                 rest.append(m)
         rest.append(merged)
         blocks = rest
-    return Partition(p.universe, blocks)
+    return Partition(p.universe, _canonical(blocks))
 
 
 def refines(p: Partition, q: Partition) -> bool:
@@ -156,7 +142,7 @@ def restrict(p: Partition, keep) -> Partition:
     for i in dropped:  # highest first, so lower positions stay put
         low = (1 << i) - 1
         blocks = [(m & low) | (m >> 1 & ~low) for m in blocks]
-    return Partition(tuple(v for v in uni if v in keep), blocks)
+    return Partition(tuple(v for v in uni if v in keep), _canonical(blocks))
 
 
 def project(f: Subgraph, vertices) -> Partition:
@@ -186,7 +172,8 @@ def pair_partition(universe, u: int, v: int) -> Partition:
     if u not in uni or v not in uni:
         raise ValueError(f"pair ({u}, {v}) outside the universe")
     pair = 1 << uni.index(u) | 1 << uni.index(v)
-    return Partition(uni, [pair] + [1 << i for i in range(len(uni)) if not pair >> i & 1])
+    blocks = [pair] + [1 << i for i in range(len(uni)) if not pair >> i & 1]
+    return Partition(uni, _canonical(blocks))
 
 
 def add_singleton(p: Partition, v: int) -> Partition:
@@ -199,7 +186,7 @@ def add_singleton(p: Partition, v: int) -> Partition:
     i = bisect_left(uni, v)
     low = (1 << i) - 1
     blocks = [(m & low) | (m & ~low) << 1 for m in p.blocks] + [1 << i]
-    return Partition(uni[:i] + (v,) + uni[i:], blocks)
+    return Partition(uni[:i] + (v,) + uni[i:], _canonical(blocks))
 
 
 def enumerate_partitions(universe):
@@ -207,7 +194,7 @@ def enumerate_partitions(universe):
     uni = tuple(sorted(set(universe)))
     n = len(uni)
     if n == 0:
-        yield Partition(uni, [])
+        yield Partition(uni, ())
         return
 
     blocks: list[list[int]] = []

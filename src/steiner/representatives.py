@@ -42,9 +42,8 @@ class PartitionTable:
             self._entries[partition] = (weight, witness)
 
     def items(self) -> list[tuple[Partition, int, object]]:
-        """(partition, weight, witness) triples in partition key order."""
-        ranked = sorted(self._entries.items(), key=lambda item: item[0].key)
-        return [(p, w, wit) for p, (w, wit) in ranked]
+        """(partition, weight, witness) triples in the order partitions were first added."""
+        return [(p, w, wit) for p, (w, wit) in self._entries.items()]
 
     def entries(self) -> list[tuple[Partition, int]]:
         return [(p, w) for p, w, _ in self.items()]
@@ -81,13 +80,14 @@ def cut_row(partition: Partition) -> int:
 def reduce_partitions(table: PartitionTable) -> PartitionTable:
     """Representative subset of a table, at most 2^max(0, |U|-1) entries.
 
-    Entries are scanned by ascending weight (partition key breaking ties)
-    and kept iff their cut-matrix row is independent of the kept rows.
+    Entries are scanned by ascending weight (blocks breaking ties)
+    and kept iff their cut-matrix row is independent of the kept rows;
+    the result holds them in that scan order.
     """
     if len(table.universe) > 62:
         raise ValueError("universe too large to reduce")
     out = PartitionTable(table.universe)
-    ranked = sorted(table._entries.items(), key=lambda item: (item[1][0], item[0].key))
+    ranked = sorted(table._entries.items(), key=lambda item: (item[1][0], item[0].blocks))
     basis: dict[int, int] = {}  # pivot bit -> reduced row
     for partition, entry in ranked:
         row = cut_row(partition)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from steiner.exact import brute_force_steiner, dreyfus_wagner
+from steiner.exact import MAX_TERMINALS, brute_force_steiner, dreyfus_wagner
 from steiner.graph import INF, Graph, connected_components, minimum_spanning_tree
 
 from helpers import random_instance
@@ -33,8 +33,9 @@ def test_dreyfus_wagner_errors_and_limits():
     g = path_graph()
     with pytest.raises(ValueError):
         dreyfus_wagner(g, {7})
-    with pytest.raises(ValueError):
-        dreyfus_wagner(g, {1, 2, 3}, limit=2)
+    many = range(1, MAX_TERMINALS + 2)  # one over the limit: rejected before any Dijkstra
+    with pytest.raises(ValueError, match=f"limit of {MAX_TERMINALS}"):
+        dreyfus_wagner(Graph(many, []), many)
 
 
 def test_dreyfus_wagner_disconnected():

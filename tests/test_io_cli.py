@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import pathlib
@@ -17,6 +18,7 @@ from steiner.decomposition import (
 )
 from steiner.graph import Graph
 from steiner.io import (
+    MAX_GENERATE_NODES,
     FormatError,
     Instance,
     emit_cut,
@@ -132,6 +134,20 @@ def test_generator_determinism_and_shape():
         generate_instance(0, 5, 3, 2, 10)  # too few edges to connect
 
 
+def test_generate_rejects_oversized_n():
+    # every vertex pair is listed before sampling, so a huge n must be refused
+    # before anything is allocated: run in a child limited to 1 GiB
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["-m", "steiner", "generate", "--n", "100000", "--m", "99999", "--k", "2"]
+    done = run_child(argv, preexec_fn=limit_memory)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines() == [
+        f"error: 100000 vertices exceed the generator limit of {MAX_GENERATE_NODES}"
+    ]
+
+
 def test_cut_file_round_trip():
     cut = frozenset({2, 5})
     assert parse_cut(emit_cut(cut)) == cut
@@ -163,6 +179,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_generate_readme_example_unchanged(capsys):
+    code, out = run_cli(capsys, "generate", "--seed", "7", "--n", "8", "--m", "12", "--k", "3")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "def0c1bd4100246df992a0b4eebd1e8d195f1203d6ff668d0ce29d0280dd1ff5"
 
 
 def test_cli_generate_and_solvers(tmp_path, capsys):
@@ -275,6 +298,20 @@ def test_solver_rejects_bad_cut_file(tmp_path, capsys, solver, cut_text):
         solve_with_cut(inst.graph, inst.terminals, cut)
     with pytest.raises(ValueError):
         decompose_from_multiway_cut(inst.graph, inst.terminals, cut)
+
+
+def test_cli_budget(tmp_path, capsys):
+    # every multiway cut of CUT_INSTANCE is non-empty, so budget 0 finds none
+    # and the solve falls back to the default cut
+    inst = parse_pace(CUT_INSTANCE)
+    assert minimum_multiway_cut(inst.graph, inst.terminals, 0) is None
+    gr = tmp_path / "inst.gr"
+    gr.write_text(CUT_INSTANCE)
+    _, base_out = run_cli(capsys, "solve", str(gr), "--solver", "dw")
+    code, out = run_cli(capsys, "solve", str(gr), "--solver", "mwc", "--budget", "0")
+    assert code == 0 and out == base_out == "VALUE 4\n"
+    code, out = run_cli(capsys, "solve", str(gr), "--solver", "mwc", "--budget", "-1")
+    assert code == 1 and out == ""
 
 
 def test_cli_rejects_invalid_tkd_file(tmp_path, capsys):
