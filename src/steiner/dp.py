@@ -4,12 +4,14 @@ Every node stores, per used-boundary subset Z that some partial solution
 reaches, a table of weighted partitions of Z summarizing how partial
 solutions group the boundary; transfer functions map a child's whole
 ``{Z: table}`` dict to the node's and never build an empty table.
-Tables are pruned to representative sets after every step, which keeps
-them single-exponential in the boundary size rather than in the number
-of partitions.  Leaf parts are folded in through ``leaf_table``, which
-builds representative subgraph families of the (possibly large) leaf
-chunk by growing the boundary one vertex at a time and calling
-Dreyfus-Wagner for the connecting pieces.
+After every step a table larger than the rank bound 2^max(0, |Z|-1) is
+pruned to a representative set, which keeps tables single-exponential in
+the boundary size rather than in the number of partitions; a table
+within the bound is kept whole, since it represents itself.  Leaf parts
+are folded in through ``leaf_table``, which builds representative
+subgraph families of the (possibly large) leaf chunk by growing the
+boundary one vertex at a time and calling Dreyfus-Wagner for the
+connecting pieces.
 
 Every entry carries a witness built in O(1): a frozenset of edge keys,
 or a pair ``(witness, witness)`` whose edge sets are disjoint.  Leaves
@@ -195,8 +197,10 @@ def compute_tables(g: Graph, terminals, dec: NiceDecomposition):
     A node stores one table per used-boundary set Z that some partial
     solution reaches; every Z holds the bag's terminals.  Children of
     leaf-introduce nodes are folded into their parent via ``leaf_table``
-    and store no table of their own.  Every table is pruned to a
-    representative set right after it is computed.
+    and store no table of their own.  A table holding more than
+    2^max(0, |Z|-1) entries is pruned to a representative set right
+    after it is computed; ``reduce_partitions`` guarantees no more, so a
+    table within that bound stays as it is and still represents itself.
     """
     terms = frozenset(terminals)
     tables: dict[int, dict] = {}
@@ -236,7 +240,10 @@ def compute_tables(g: Graph, terminals, dec: NiceDecomposition):
             node_tables = join_tables(tables[kids[0]], tables[kids[1]])
         else:
             raise AssertionError(f"unhandled node kind {kind!r}")
-        tables[node] = {z: reduce_partitions(t) for z, t in node_tables.items()}
+        tables[node] = {
+            z: reduce_partitions(t) if len(t) > 1 << max(0, len(z) - 1) else t
+            for z, t in node_tables.items()
+        }
     return tables, below
 
 

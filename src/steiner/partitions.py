@@ -26,8 +26,12 @@ def _bits(mask: int):
 
 
 def _canonical(masks) -> tuple[int, ...]:
-    """Nonzero masks sorted by lowest set bit: the one order ``blocks`` uses."""
-    return tuple(sorted((m for m in masks if m), key=lambda m: m & -m))
+    """Nonzero masks in ascending int order: the one order ``blocks`` uses.
+
+    Blocks are disjoint, so plain int comparison orders them by highest
+    element and no two compare equal.
+    """
+    return tuple(sorted(m for m in masks if m))
 
 
 class Partition(namedtuple("Partition", ("universe", "blocks"))):
@@ -35,7 +39,7 @@ class Partition(namedtuple("Partition", ("universe", "blocks"))):
 
     A plain ``(universe, blocks)`` tuple value: ``universe`` is a sorted
     tuple of vertex ids and ``blocks`` a tuple of nonzero bitmasks over
-    it, ordered by lowest set bit, so tuple equality and hashing are
+    it in ascending int order, so tuple equality and hashing are
     structural.  ``len(p.blocks)`` counts the blocks; ``len(p)`` is the
     tuple's 2.  The constructor trusts its arguments: the functions of
     this module build every partition with canonical blocks.
@@ -107,10 +111,16 @@ def _require_same_universe(p: Partition, q: Partition):
 
 
 def join(p: Partition, q: Partition) -> Partition:
-    """Finest partition coarser than both: each block of q absorbs those it meets."""
+    """Finest partition coarser than both: each block of q absorbs those it meets.
+
+    Returns ``p`` itself when no block of q meets two blocks of p; the
+    singleton blocks of q never do.
+    """
     _require_same_universe(p, q)
     blocks = p.blocks
     for qb in q.blocks:
+        if not qb & (qb - 1):
+            continue
         merged = qb
         rest = []
         for m in blocks:
@@ -118,8 +128,11 @@ def join(p: Partition, q: Partition) -> Partition:
                 merged |= m
             else:
                 rest.append(m)
-        rest.append(merged)
-        blocks = rest
+        if len(rest) < len(blocks) - 1:  # qb met two blocks or more
+            rest.append(merged)
+            blocks = rest
+    if blocks is p.blocks:
+        return p
     return Partition(p.universe, _canonical(blocks))
 
 

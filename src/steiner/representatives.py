@@ -62,15 +62,17 @@ class PartitionTable:
 
 
 def cut_row(partition: Partition) -> int:
-    """GF(2) row of a partition over the bipartitions fixing its first element.
+    """GF(2) row of a partition over the bipartitions fixing element 0.
 
     Column c puts the elements of mask ``c << 1`` on the far side; its bit
     is 1 iff every block fits into one side, so the ones are the columns
-    ``far >> 1`` for ``far`` a union of blocks other than the first.
+    ``far >> 1`` for ``far`` a union of blocks other than the one holding
+    element 0 (the odd mask).
     """
     fars = [0]
-    for b in partition.blocks[1:]:
-        fars += [f | b for f in fars]
+    for b in partition.blocks:
+        if not b & 1:
+            fars += [f | b for f in fars]
     row = 0
     for far in fars:
         row |= 1 << (far >> 1)

@@ -216,6 +216,30 @@ def test_table_sizes_stay_bounded():
                 assert bag_terms <= z <= nice.bags[node]
 
 
+def test_reduction_runs_only_above_the_rank_bound(monkeypatch):
+    # the cut decompositions above never outgrow the bound; elimination
+    # decompositions do, so the reduction is exercised as well as skipped
+    import steiner.dp
+
+    reduce = steiner.dp.reduce_partitions
+    handed = []
+
+    def counted(table):
+        handed.append((len(table.universe), len(table)))
+        return reduce(table)
+
+    monkeypatch.setattr(steiner.dp, "reduce_partitions", counted)
+    for seed in range(60):
+        inst = random_instance(seed, nmax=8, kmax=4)
+        nice = to_nice(inst.graph, inst.terminals, elimination_decomposition(inst.graph))
+        tables, _ = compute_tables(inst.graph, inst.terminals, nice)
+        for per_node in tables.values():
+            for z, table in per_node.items():
+                assert 0 < len(table) <= 2 ** max(0, len(z) - 1)
+    assert handed
+    assert all(rows > 2 ** max(0, size - 1) for size, rows in handed)
+
+
 def test_standard_decomposition_cross_check():
     # leaf-free decompositions exercise the transfer functions alone
     for seed in range(60):

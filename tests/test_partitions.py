@@ -76,6 +76,36 @@ def test_join_against_lattice_oracle_at_five():
             assert join(p, q) == brute_join(p, q)
 
 
+def test_blocks_stay_canonical():
+    # every result holds strictly ascending nonzero masks, and a join
+    # that merges no two blocks of p hands back p itself
+    def canonical(p):
+        return 0 not in p.blocks and list(p.blocks) == sorted(set(p.blocks))
+
+    ids = (3, 7, 10, 12, 20, 31)
+    for size in range(len(ids) + 1):
+        uni = ids[:size]
+        assert canonical(Partition.singletons(uni))
+        assert canonical(Partition.single_block(uni))
+        parts = list(enumerate_partitions(uni))
+        for p in parts:
+            assert canonical(p)
+            assert P(uni, set(), *p.as_sets()) == p
+            for r in range(size + 1):
+                for keep in combinations(uni, r):
+                    assert canonical(restrict(p, keep))
+            for v in (1, 11, 40):
+                assert canonical(add_singleton(p, v))
+            assert join(p, Partition.singletons(uni)) is p
+            for q in parts:
+                pq = join(p, q)
+                assert canonical(pq)
+                if refines(p, q):
+                    assert pq is p
+        for u, v in combinations_with_replacement(uni, 2):
+            assert canonical(pair_partition(uni, u, v))
+
+
 def test_refines_examples_and_order():
     u = (1, 2)
     assert refines(P(u, {1, 2}), P(u, {1}, {2}))
