@@ -2,8 +2,14 @@
 
 Every node stores, per used-boundary subset Z that some partial solution
 reaches, a table of weighted partitions of Z summarizing how partial
-solutions group the boundary; transfer functions map a child's whole
-``{Z: table}`` dict to the node's and never build an empty table.
+solutions group the boundary: a plain dict ``{blocks: (weight, witness)}``
+keyed by the partition's mask tuple over the sorted Z, as in
+``Partition.blocks``.  Transfer functions map a child's whole
+``{Z: table}`` dict to the node's through the mask kernels of
+``steiner.partitions`` and ``steiner.representatives``; they share a
+table they pass through unchanged, and never build an empty table or
+change one once built.  Of the ``Partition`` types, only ``leaf_table``'s
+``PartitionTable`` result is built, and the DP reads its rows.
 After every step a table larger than the rank bound 2^max(0, |Z|-1) is
 pruned to a representative set, which keeps tables single-exponential in
 the boundary size rather than in the number of partitions; a table
@@ -34,18 +40,27 @@ from .decomposition import (
     LEAF_INTRODUCE,
     NiceDecomposition,
     validate_nice,
+    width,
 )
 from .exact import SteinerResult, dreyfus_wagner
 from .graph import INF, Graph, Subgraph, spanning_tree
 from .graph import connected_components  # noqa: F401  kept: bench/layers.py rebinds it
-from .partitions import (
-    Partition,
-    add_singleton,
-    join,
-    pair_partition,
-    restrict,
-)
-from .representatives import PartitionTable, reduce_partitions, reduce_subgraphs
+# the mask kernels under their Partition-level names, which bench/layers.py wraps
+from .partitions import add_singleton_blocks as add_singleton
+from .partitions import join_blocks as join
+from .partitions import pair_blocks as pair_partition
+from .partitions import restrict_blocks as restrict
+from .representatives import PartitionTable, reduce_subgraphs
+from .representatives import reduce_rows as reduce_partitions
+
+# Widest decomposition ``solve_decomposition`` accepts, leaf-part vertices
+# not counted.  Rows grow like 3^width: on a 2-core machine with CPython
+# 3.11, elimination decompositions of width 10 solve in about 5 s and of
+# width 12 (bags of 13 vertices) in about 75 s with 0.8 GiB resident, and
+# each further +2 of width costs 6-7x more, so anything wider is refused
+# rather than left to run for hours.
+MAX_WIDTH = 12
+
 
 def leaf_table(g: Graph, inner, boundary) -> PartitionTable:
     """Representative subgraph families of g[inner | boundary] on the boundary.
@@ -84,36 +99,27 @@ def leaf_table(g: Graph, inner, boundary) -> PartitionTable:
             for sub in current:
                 pool.append(Subgraph(g, sub.vertices | pv, sub.edges | pe))
         reduced = reduce_subgraphs(pool, order)
-        current = [sub for _, _, sub in reduced.items()]
-    table = PartitionTable(order)
-    for p, w, sub in reduced.items():
-        table.add(p, w, sub.edges)
-    return table
+        current = [sub for _, sub in reduced.rows.values()]
+    return PartitionTable(order, {b: (w, sub.edges) for b, (w, sub) in reduced.rows.items()})
 
 
-def _put(out: dict, z, p: Partition, w, wit):
-    """Add an entry to table z of a node's tables, creating it on first use."""
-    table = out.get(z)
-    if table is None:
-        table = out[z] = PartitionTable(z)
-    table.add(p, w, wit)
+def _position(z, v) -> int:
+    """Bit position of vertex v among the sorted vertices of z."""
+    return sum(1 for x in z if x < v)
 
 
 def introduce_vertex(child: dict, v: int, terminals) -> dict:
     """Tables after introducing vertex v.
 
-    Every child entry gains v as a fresh singleton in table z | {v}; a
-    non-terminal v may also stay unused, leaving the entry in table z.
+    Every child row gains v as a fresh singleton in table z | {v}; a
+    non-terminal v may also stay unused, which leaves table z as it is.
     """
     out: dict = {}
     for z, src in child.items():
-        entries = src.items()
-        with_v = z | {v}
-        for p, w, wit in entries:
-            _put(out, with_v, add_singleton(p, v), w, wit)
+        i = _position(z, v)
+        out[z | {v}] = {add_singleton(b, i): entry for b, entry in src.items()}
         if v not in terminals:
-            for p, w, wit in entries:
-                _put(out, z, p, w, wit)
+            out[z] = src
     return out
 
 
@@ -127,26 +133,44 @@ def forget_vertex(child: dict, v: int) -> dict:
     """
     out: dict = {}
     for z in sorted(child, key=len):
+        src = child[z]
+        if v not in z:
+            out[z] = src
+            continue
         kept = z - {v}
-        for p, w, wit in child[z].items():
-            if v not in z:
-                _put(out, z, p, w, wit)
-            elif not p.is_singleton(v):
-                _put(out, kept, restrict(p, kept), w, wit)
+        i = _position(z, v)
+        bit = 1 << i
+        table = dict(out.get(kept, ()))  # a copy: out[kept] may be the child's table
+        for b, entry in src.items():
+            if bit in b:
+                continue
+            r = restrict(b, i)
+            old = table.get(r)
+            if old is None or entry[0] < old[0]:
+                table[r] = entry
+        if table:
+            out[kept] = table
     return out
 
 
 def introduce_edge(child: dict, edge, weight: int) -> dict:
-    """Tables after making one edge available to entries whose Z holds both ends."""
+    """Tables after making one edge available to rows whose Z holds both ends."""
     u, v = edge
     used = frozenset([edge])
     out: dict = {}
     for z, src in child.items():
-        pairp = pair_partition(z, u, v) if u in z and v in z else None
-        for p, w, wit in src.items():
-            _put(out, z, p, w, wit)
-            if pairp is not None:
-                _put(out, z, join(p, pairp), w + weight, (wit, used))
+        if u not in z or v not in z:
+            out[z] = src
+            continue
+        pair = pair_partition(len(z), _position(z, u), _position(z, v))
+        table = dict(src)
+        for b, (w, wit) in src.items():
+            j = join(b, pair)
+            w += weight
+            old = table.get(j)
+            if old is None or w < old[0]:
+                table[j] = (w, (wit, used))
+        out[z] = table
     return out
 
 
@@ -161,10 +185,16 @@ def join_tables(left: dict, right: dict) -> dict:
     for z, a in left.items():
         if z not in right:
             continue
-        right_entries = right[z].items()
-        for p1, w1, wit1 in a.items():
-            for p2, w2, wit2 in right_entries:
-                _put(out, z, join(p1, p2), w1 + w2, (wit1, wit2))
+        right_rows = list(right[z].items())
+        table: dict = {}
+        for b1, (w1, wit1) in a.items():
+            for b2, (w2, wit2) in right_rows:
+                j = join(b1, b2)
+                w = w1 + w2
+                old = table.get(j)
+                if old is None or w < old[0]:
+                    table[j] = (w, (wit1, wit2))
+        out[z] = table
     return out
 
 
@@ -183,9 +213,7 @@ def witness_edges(witness) -> set:
 
 def _bag_start(bag, terminals) -> dict:
     """Tables of a bag before any edge: its vertices introduced one by one."""
-    empty = PartitionTable(())
-    empty.add(Partition.singletons(()), 0, frozenset())
-    tables = {frozenset(): empty}
+    tables = {frozenset(): {(): (0, frozenset())}}
     for v in sorted(bag):
         tables = introduce_vertex(tables, v, terminals)
     return tables
@@ -226,7 +254,7 @@ def compute_tables(g: Graph, terminals, dec: NiceDecomposition):
                 [(u, v, g.weight(u, v)) for u, v in dec.assigned_edges(child)],
             )
             node_tables = {
-                z: leaf_table(part_graph, inner, z) if z else start
+                z: leaf_table(part_graph, inner, z).rows if z else start
                 for z, start in _bag_start(bag, terms).items()
             }
         elif kind == INTRODUCE_VERTEX:
@@ -255,7 +283,9 @@ def solve_decomposition(g: Graph, terminals, dec: NiceDecomposition) -> SteinerR
     qualifies; checking the others also covers optima that avoid the
     root bag entirely).  The winning entry's witness is flattened into
     its edge set and returned as a minimum spanning tree of its terminal
-    component, which must cost exactly the table weight.
+    component, which must cost exactly the table weight.  A decomposition
+    wider than ``MAX_WIDTH`` is refused with ``ValueError`` before any
+    table is built.
     """
     terms = frozenset(terminals)
     if not terms <= g.vertex_set:
@@ -263,28 +293,29 @@ def solve_decomposition(g: Graph, terminals, dec: NiceDecomposition) -> SteinerR
     bad = validate_nice(g, terms, dec)
     if bad:
         raise ValueError(f"invalid nice decomposition: {bad}")
+    dec_width = width(dec)
+    if dec_width > MAX_WIDTH:
+        raise ValueError(f"decomposition width {dec_width} exceeds the limit {MAX_WIDTH}")
     if len(terms) <= 1:
         return SteinerResult(0, Subgraph(g, terms, frozenset()))
 
     tables, below = compute_tables(g, terms, dec)
     best_weight = INF
-    best_entry = None
+    best_witness = None
     for node in sorted(tables):
         if not terms <= below[node]:
             continue
         for z in sorted(tables[node], key=sorted):
             if not z:
                 continue
-            table = tables[node][z]
-            for p, w in table.entries():
-                if len(p.blocks) == 1 and w < best_weight:
+            for blocks, (w, wit) in tables[node][z].items():
+                if len(blocks) == 1 and w < best_weight:
                     best_weight = w
-                    best_entry = (table, p)
+                    best_witness = wit
     if best_weight == INF:
         return SteinerResult(INF, g.empty_subgraph())
 
-    table, p = best_entry
-    tree = spanning_tree(g, witness_edges(table.witness(p)), terms)
+    tree = spanning_tree(g, witness_edges(best_witness), terms)
     if tree is None:
         raise AssertionError("witness does not span the terminals")
     if tree.cost != best_weight:

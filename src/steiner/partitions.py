@@ -6,6 +6,12 @@ A partition is a plain ``(universe, blocks)`` tuple value whose blocks
 are bitmasks over the sorted universe (at most 62 elements), which keeps
 the lattice join and the cut-matrix rows of the representative-set
 machinery at a few word operations per block.
+
+Each operation has one mask kernel (``join_blocks``, ``restrict_blocks``,
+``add_singleton_blocks``, ``pair_blocks``) over bare block tuples and
+bit positions, which the decomposition DP calls directly; the
+``Partition``-level function of the same name checks its universe and
+calls that kernel.
 """
 
 from __future__ import annotations
@@ -110,15 +116,14 @@ def _require_same_universe(p: Partition, q: Partition):
         raise ValueError("partitions over different universes")
 
 
-def join(p: Partition, q: Partition) -> Partition:
-    """Finest partition coarser than both: each block of q absorbs those it meets.
+def join_blocks(a: tuple, b: tuple) -> tuple:
+    """Mask kernel of ``join``: each block of ``b`` absorbs the blocks of ``a`` it meets.
 
-    Returns ``p`` itself when no block of q meets two blocks of p; the
-    singleton blocks of q never do.
+    Returns ``a`` itself when no block of ``b`` meets two blocks of ``a``;
+    the singleton blocks of ``b`` never do.
     """
-    _require_same_universe(p, q)
-    blocks = p.blocks
-    for qb in q.blocks:
+    blocks = a
+    for qb in b:
         if not qb & (qb - 1):
             continue
         merged = qb
@@ -131,9 +136,14 @@ def join(p: Partition, q: Partition) -> Partition:
         if len(rest) < len(blocks) - 1:  # qb met two blocks or more
             rest.append(merged)
             blocks = rest
-    if blocks is p.blocks:
-        return p
-    return Partition(p.universe, _canonical(blocks))
+    return a if blocks is a else tuple(sorted(blocks))
+
+
+def join(p: Partition, q: Partition) -> Partition:
+    """Finest partition coarser than both; ``p`` itself when q merges no two of its blocks."""
+    _require_same_universe(p, q)
+    blocks = join_blocks(p.blocks, q.blocks)
+    return p if blocks is p.blocks else Partition(p.universe, blocks)
 
 
 def refines(p: Partition, q: Partition) -> bool:
@@ -145,6 +155,12 @@ def refines(p: Partition, q: Partition) -> bool:
     return True
 
 
+def restrict_blocks(blocks: tuple, i: int) -> tuple:
+    """Mask kernel of ``restrict``: drop position ``i`` and any block left empty."""
+    low = (1 << i) - 1
+    return _canonical((m & low) | (m >> 1 & ~low) for m in blocks)
+
+
 def restrict(p: Partition, keep) -> Partition:
     """Partition of ``keep`` obtained by intersecting blocks and dropping empties."""
     keep = frozenset(keep)
@@ -153,9 +169,8 @@ def restrict(p: Partition, keep) -> Partition:
     if len(uni) - len(dropped) != len(keep):
         raise ValueError("restriction set must be a subset of the universe")
     for i in dropped:  # highest first, so lower positions stay put
-        low = (1 << i) - 1
-        blocks = [(m & low) | (m >> 1 & ~low) for m in blocks]
-    return Partition(tuple(v for v in uni if v in keep), _canonical(blocks))
+        blocks = restrict_blocks(blocks, i)
+    return Partition(tuple(v for v in uni if v in keep), blocks)
 
 
 def project(f: Subgraph, vertices) -> Partition:
@@ -177,6 +192,12 @@ def project(f: Subgraph, vertices) -> Partition:
     return Partition.from_sets(uni, groups.values())
 
 
+def pair_blocks(n: int, i: int, j: int) -> tuple:
+    """Mask kernel of ``pair_partition``: positions i, j grouped, the other n - 2 singleton."""
+    pair = 1 << i | 1 << j
+    return _canonical([pair] + [1 << k for k in range(n) if not pair >> k & 1])
+
+
 def pair_partition(universe, u: int, v: int) -> Partition:
     """Partition of ``universe`` with u, v grouped and all others singleton."""
     uni = tuple(sorted(universe))
@@ -184,9 +205,19 @@ def pair_partition(universe, u: int, v: int) -> Partition:
         raise ValueError(f"universe larger than {MAX_UNIVERSE} elements")
     if u not in uni or v not in uni:
         raise ValueError(f"pair ({u}, {v}) outside the universe")
-    pair = 1 << uni.index(u) | 1 << uni.index(v)
-    blocks = [pair] + [1 << i for i in range(len(uni)) if not pair >> i & 1]
-    return Partition(uni, _canonical(blocks))
+    return Partition(uni, pair_blocks(len(uni), uni.index(u), uni.index(v)))
+
+
+def add_singleton_blocks(blocks: tuple, i: int) -> tuple:
+    """Mask kernel of ``add_singleton``: open position ``i`` as a block of its own.
+
+    Blocks below bit i keep their masks and their place; the rest shift
+    up one position, which keeps them in order, above the new block.
+    """
+    bit = 1 << i
+    low = bit - 1
+    k = bisect_left(blocks, bit)
+    return blocks[:k] + (bit,) + tuple((m & low) | (m & ~low) << 1 for m in blocks[k:])
 
 
 def add_singleton(p: Partition, v: int) -> Partition:
@@ -197,9 +228,7 @@ def add_singleton(p: Partition, v: int) -> Partition:
     if len(uni) >= MAX_UNIVERSE:
         raise ValueError(f"universe larger than {MAX_UNIVERSE} elements")
     i = bisect_left(uni, v)
-    low = (1 << i) - 1
-    blocks = [(m & low) | (m & ~low) << 1 for m in p.blocks] + [1 << i]
-    return Partition(uni[:i] + (v,) + uni[i:], _canonical(blocks))
+    return Partition(uni[:i] + (v,) + uni[i:], add_singleton_blocks(p.blocks, i))
 
 
 def enumerate_partitions(universe):

@@ -3,16 +3,21 @@
 A table of (partition, weight) pairs can be pruned to at most 2^(|U|-1)
 entries while preserving, for every query partition Q, the minimum
 weight among entries whose join with Q is the single block.  The prune
-builds one GF(2) row per entry over the bipartitions of the universe
-that fix its first element, sorts rows by weight, and keeps a row iff it
-is linearly independent of the rows kept so far.  Rows are plain Python
-int bitsets.
+builds one GF(2) cut row per entry over the bipartitions of the universe
+that fix its first element, sorts entries by weight, and keeps an entry
+iff its cut row is linearly independent of those kept so far.  Cut rows
+are plain Python int bitsets.
+
+The kernels work on a table's rows, the plain dict
+``{blocks: (weight, witness)}`` keyed by canonical mask tuples, which is
+what the decomposition DP stores; ``PartitionTable`` wraps one such dict
+with its universe for everything else.
 """
 
 from __future__ import annotations
 
 from .graph import INF
-from .partitions import Partition, enumerate_partitions, join, project
+from .partitions import MAX_UNIVERSE, Partition, enumerate_partitions, join, project
 
 _ABSENT = (INF, None)  # weight and witness of a partition not in a table
 
@@ -20,16 +25,19 @@ _ABSENT = (INF, None)  # weight and witness of a partition not in a table
 class PartitionTable:
     """Weighted partitions over one universe, minimum weight per partition.
 
-    Each partition keeps the witness it was added with, an opaque object
-    the caller chooses: the decomposition DP stores edge sets (see
-    ``steiner.dp``), ``reduce_subgraphs`` the subgraphs themselves.
+    A typed view of ``rows``, the plain dict ``{blocks: (weight, witness)}``
+    that the decomposition DP builds and reads directly: ``blocks`` is a
+    partition's canonical mask tuple over ``universe``.  Each partition
+    keeps the witness it was added with, an opaque object the caller
+    chooses: the decomposition DP stores edge sets (see ``steiner.dp``),
+    ``reduce_subgraphs`` the subgraphs themselves.
     """
 
-    __slots__ = ("universe", "_entries")
+    __slots__ = ("universe", "rows")
 
-    def __init__(self, universe):
+    def __init__(self, universe, rows=None):
         self.universe = tuple(sorted(set(universe)))
-        self._entries: dict[Partition, tuple] = {}  # partition -> (weight, witness)
+        self.rows: dict[tuple, tuple] = {} if rows is None else rows
 
     def add(self, partition: Partition, weight, witness=None):
         """Insert keeping the minimum weight per partition (first wins ties)."""
@@ -37,32 +45,38 @@ class PartitionTable:
             raise ValueError("partition universe does not match the table")
         if weight == INF:
             return
-        old = self._entries.get(partition)
+        old = self.rows.get(partition.blocks)
         if old is None or weight < old[0]:
-            self._entries[partition] = (weight, witness)
+            self.rows[partition.blocks] = (weight, witness)
 
     def items(self) -> list[tuple[Partition, int, object]]:
         """(partition, weight, witness) triples in the order partitions were first added."""
-        return [(p, w, wit) for p, (w, wit) in self._entries.items()]
+        uni = self.universe
+        return [(Partition(uni, b), w, wit) for b, (w, wit) in self.rows.items()]
 
     def entries(self) -> list[tuple[Partition, int]]:
         return [(p, w) for p, w, _ in self.items()]
 
+    def _entry(self, partition: Partition):
+        if partition.universe != self.universe:
+            return _ABSENT
+        return self.rows.get(partition.blocks, _ABSENT)
+
     def weight(self, partition: Partition):
-        return self._entries.get(partition, _ABSENT)[0]
+        return self._entry(partition)[0]
 
     def witness(self, partition: Partition):
-        return self._entries.get(partition, _ABSENT)[1]
+        return self._entry(partition)[1]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.rows)
 
     def __contains__(self, partition: Partition) -> bool:
-        return partition in self._entries
+        return self._entry(partition) is not _ABSENT
 
 
-def cut_row(partition: Partition) -> int:
-    """GF(2) row of a partition over the bipartitions fixing element 0.
+def cut_row(blocks: tuple) -> int:
+    """GF(2) row of a partition's blocks over the bipartitions fixing element 0.
 
     Column c puts the elements of mask ``c << 1`` on the far side; its bit
     is 1 iff every block fits into one side, so the ones are the columns
@@ -70,7 +84,7 @@ def cut_row(partition: Partition) -> int:
     element 0 (the odd mask).
     """
     fars = [0]
-    for b in partition.blocks:
+    for b in blocks:
         if not b & 1:
             fars += [f | b for f in fars]
     row = 0
@@ -79,20 +93,18 @@ def cut_row(partition: Partition) -> int:
     return row
 
 
-def reduce_partitions(table: PartitionTable) -> PartitionTable:
-    """Representative subset of a table, at most 2^max(0, |U|-1) entries.
+def reduce_rows(rows: dict) -> dict:
+    """Mask kernel of ``reduce_partitions`` over ``{blocks: (weight, witness)}``.
 
-    Entries are scanned by ascending weight (blocks breaking ties)
-    and kept iff their cut-matrix row is independent of the kept rows;
-    the result holds them in that scan order.
+    Rows are scanned by ascending weight (blocks breaking ties) and kept,
+    weight and witness as they were, iff their cut row is independent of
+    the kept ones; the result holds them in that scan order, at most
+    2^max(0, |U|-1) of them.
     """
-    if len(table.universe) > 62:
-        raise ValueError("universe too large to reduce")
-    out = PartitionTable(table.universe)
-    ranked = sorted(table._entries.items(), key=lambda item: (item[1][0], item[0].blocks))
-    basis: dict[int, int] = {}  # pivot bit -> reduced row
-    for partition, entry in ranked:
-        row = cut_row(partition)
+    out = {}
+    basis: dict[int, int] = {}  # pivot bit -> reduced cut row
+    for blocks, entry in sorted(rows.items(), key=lambda item: (item[1][0], item[0])):
+        row = cut_row(blocks)
         while row:
             pivot = row & -row
             other = basis.get(pivot)
@@ -101,8 +113,15 @@ def reduce_partitions(table: PartitionTable) -> PartitionTable:
             row ^= other
         if row:
             basis[row & -row] = row
-            out._entries[partition] = entry  # weight and witness as they were
+            out[blocks] = entry
     return out
+
+
+def reduce_partitions(table: PartitionTable) -> PartitionTable:
+    """Representative subset of a table, at most 2^max(0, |U|-1) entries."""
+    if len(table.universe) > MAX_UNIVERSE:
+        raise ValueError("universe too large to reduce")
+    return PartitionTable(table.universe, reduce_rows(table.rows))
 
 
 def is_representative(reduced: PartitionTable, full: PartitionTable) -> bool:

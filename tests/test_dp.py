@@ -6,6 +6,7 @@ from steiner.cli import verify_tree
 from steiner.cuts import minimum_multiway_cut
 from steiner.decomposition import decompose_from_multiway_cut, to_nice
 from steiner.dp import (
+    MAX_WIDTH,
     compute_tables,
     forget_vertex,
     introduce_edge,
@@ -17,7 +18,7 @@ from steiner.dp import (
 from steiner.exact import brute_force_steiner, dreyfus_wagner
 from steiner.graph import Graph, Subgraph, connected_components
 from steiner.partitions import Partition, project
-from steiner.representatives import PartitionTable, is_representative
+from steiner.representatives import is_representative
 
 from helpers import (
     elimination_decomposition,
@@ -30,11 +31,9 @@ def P(universe, *groups):
     return Partition.from_sets(universe, groups)
 
 
-def table_of(universe, *entries):
-    table = PartitionTable(universe)
-    for partition, weight in entries:
-        table.add(partition, weight)
-    return table
+def table_of(*entries):
+    """A DP table: rows keyed by mask tuples, no witnesses."""
+    return {partition.blocks: (weight, None) for partition, weight in entries}
 
 
 def test_leaf_table_examples():
@@ -88,64 +87,64 @@ def test_leaf_table_represents_all_subgraphs():
 
 def test_introduce_vertex_cases():
     z = frozenset({1, 2})
-    child = {frozenset({1}): table_of((1,), (P((1,), {1}), 3))}
+    child = {frozenset({1}): table_of((P((1,), {1}), 3))}
     out = introduce_vertex(child, 2, terminals=set())
-    assert out[z].weight(P((1, 2), {1}, {2})) == 3
+    assert out[z][P((1, 2), {1}, {2}).blocks][0] == 3
 
     # a terminal must be used: no table without it survives
     out = introduce_vertex(child, 2, terminals={2})
     assert set(out) == {z}
 
     out = introduce_vertex(child, 2, terminals=set())
-    assert out[frozenset({1})].weight(P((1,), {1})) == 3
+    assert out[frozenset({1})][P((1,), {1}).blocks][0] == 3
 
 
 def test_forget_vertex_cases():
     z = frozenset({1})
-    grouped = table_of((1, 9), (P((1, 9), {1, 9}), 4))
+    grouped = table_of((P((1, 9), {1, 9}), 4))
     child = {frozenset({1, 9}): grouped}
     out = forget_vertex(child, 9)
-    assert out[z].weight(P((1,), {1})) == 4
+    assert out[z][P((1,), {1}).blocks][0] == 4
 
-    lonely = table_of((1, 9), (P((1, 9), {1}, {9}), 4))
+    lonely = table_of((P((1, 9), {1}, {9}), 4))
     out = forget_vertex({frozenset({1, 9}): lonely}, 9)
     assert z not in out  # singleton blocks may not be forgotten
 
-    kept = table_of((1,), (P((1,), {1}), 2))
+    kept = table_of((P((1,), {1}), 2))
     out = forget_vertex({frozenset({1}): kept, frozenset({1, 9}): lonely}, 9)
-    assert out[z].weight(P((1,), {1})) == 2
+    assert out[z][P((1,), {1}).blocks][0] == 2
 
 
 def test_introduce_edge_cases():
     z = frozenset({1, 2})
-    child = {z: table_of((1, 2), (P((1, 2), {1}, {2}), 0))}
+    child = {z: table_of((P((1, 2), {1}, {2}), 0))}
     out = introduce_edge(child, (1, 2), 3)
-    assert out[z].weight(P((1, 2), {1}, {2})) == 0
-    assert out[z].weight(P((1, 2), {1, 2})) == 3
+    assert out[z][P((1, 2), {1}, {2}).blocks][0] == 0
+    assert out[z][P((1, 2), {1, 2}).blocks][0] == 3
 
     z2 = frozenset({2})
-    child = {z2: table_of((2,), (P((2,), {2}), 1))}
+    child = {z2: table_of((P((2,), {2}), 1))}
     out = introduce_edge(child, (1, 9), 3)
-    assert out[z2].weight(P((2,), {2})) == 1
+    assert out[z2][P((2,), {2}).blocks][0] == 1
 
-    merged = table_of((1, 2), (P((1, 2), {1, 2}), 5))
+    merged = table_of((P((1, 2), {1, 2}), 5))
     out = introduce_edge({z: merged}, (1, 2), 2)
-    assert out[z].weight(P((1, 2), {1, 2})) == 5  # re-adding is dominated
+    assert out[z][P((1, 2), {1, 2}).blocks][0] == 5  # re-adding is dominated
 
 
 def test_join_tables_cases():
     z = frozenset({1, 2})
-    left = {z: table_of((1, 2), (P((1, 2), {1}, {2}), 1))}
-    right = {z: table_of((1, 2), (P((1, 2), {1, 2}), 2))}
+    left = {z: table_of((P((1, 2), {1}, {2}), 1))}
+    right = {z: table_of((P((1, 2), {1, 2}), 2))}
     out = join_tables(left, right)
-    assert out[z].weight(P((1, 2), {1, 2})) == 3
+    assert out[z][P((1, 2), {1, 2}).blocks][0] == 3
 
     out = join_tables({}, right)
     assert z not in out
 
-    single = {frozenset({1}): table_of((1,), (P((1,), {1}), 0))}
+    single = {frozenset({1}): table_of((P((1,), {1}), 0))}
     out = join_tables(single, single)
-    assert out[frozenset({1})].weight(P((1,), {1})) == 0
+    assert out[frozenset({1})][P((1,), {1}).blocks][0] == 0
 
 
 def pipeline(instance):
@@ -225,7 +224,8 @@ def test_reduction_runs_only_above_the_rank_bound(monkeypatch):
     handed = []
 
     def counted(table):
-        handed.append((len(table.universe), len(table)))
+        # the blocks of any key cover the positions of the table's Z
+        handed.append((sum(next(iter(table))).bit_length(), len(table)))
         return reduce(table)
 
     monkeypatch.setattr(steiner.dp, "reduce_partitions", counted)
@@ -238,6 +238,41 @@ def test_reduction_runs_only_above_the_rank_bound(monkeypatch):
                 assert 0 < len(table) <= 2 ** max(0, len(z) - 1)
     assert handed
     assert all(rows > 2 ** max(0, size - 1) for size, rows in handed)
+
+
+def test_table_keys_are_canonical_mask_tuples():
+    # no Partition constructor checks the DP's keys: each must hold
+    # nonzero, pairwise-disjoint masks in ascending int order that
+    # together cover exactly the positions of Z
+    checked = 0
+    for seed in range(40):
+        inst = random_instance(seed, nmax=8, kmax=4)
+        g, terms = inst.graph, inst.terminals
+        for dec in (pipeline(inst), to_nice(g, terms, elimination_decomposition(g))):
+            tables, _ = compute_tables(g, terms, dec)
+            for per_node in tables.values():
+                for z, table in per_node.items():
+                    for blocks in table:
+                        assert all(blocks)
+                        assert list(blocks) == sorted(set(blocks))
+                        union = 0
+                        for m in blocks:
+                            assert not union & m
+                            union |= m
+                        assert union == (1 << len(z)) - 1
+                        checked += 1
+    assert checked
+
+
+def test_too_wide_decomposition_is_refused():
+    from steiner.decomposition import Decomposition
+
+    n = MAX_WIDTH + 2  # one bag of n vertices: width MAX_WIDTH + 1
+    g = Graph(range(1, n + 1), [(v, v + 1, 1) for v in range(1, n)])
+    terms = frozenset({1, n})
+    nice = to_nice(g, terms, Decomposition(1, {1: g.vertex_set}, {}))
+    with pytest.raises(ValueError, match=f"width {n - 1} exceeds the limit {MAX_WIDTH}"):
+        solve_decomposition(g, terms, nice)
 
 
 def test_standard_decomposition_cross_check():

@@ -33,10 +33,10 @@ def test_every_table_witness_realizes_its_entry():
         tables, _ = compute_tables(g, terms, nice)
         for per_node in tables.values():
             for z, table in per_node.items():
-                for p, w in table.entries():
-                    edges = witness_edges(table.witness(p))
+                for blocks, (w, wit) in table.items():
+                    edges = witness_edges(wit)
                     padded = Subgraph(g, z.union(*edges), edges)
-                    assert project(padded, sorted(z)) == p
+                    assert project(padded, sorted(z)).blocks == blocks
                     assert padded.cost == w
 
 

@@ -300,6 +300,19 @@ def test_solver_rejects_bad_cut_file(tmp_path, capsys, solver, cut_text):
         decompose_from_multiway_cut(inst.graph, inst.terminals, cut)
 
 
+def test_kfree_refuses_a_too_wide_star_fast(tmp_path):
+    # cutting 2..26 out of a 30-vertex path gives a star whose bags hold
+    # the 25 cut vertices plus terminal 1 or the leaf part 27..29: width 25
+    g = Graph(range(1, 31), [(v, v + 1, 1) for v in range(1, 30)])
+    gr = tmp_path / "path.gr"
+    gr.write_text(emit_pace(Instance(g, frozenset({1, 30}))))
+    cut_file = tmp_path / "wide.cut"
+    cut_file.write_text(emit_cut(frozenset(range(2, 27))))
+    done = run_child(["-m", "steiner", "solve", str(gr), "--solver", "kfree", "--cut", str(cut_file)])
+    assert done.returncode == 1 and done.stdout == ""
+    assert "width 25 exceeds the limit 12" in done.stderr
+
+
 def test_cli_budget(tmp_path, capsys):
     # every multiway cut of CUT_INSTANCE is non-empty, so budget 0 finds none
     # and the solve falls back to the default cut

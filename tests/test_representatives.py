@@ -87,12 +87,12 @@ def test_cut_matrix_against_definition():
         universe = tuple(range(1, size + 1))
         for p in enumerate_partitions(universe):
             # the empty universe has the one (empty, empty) column
-            assert cut_row(p) == (brute_cut_row(p) if size else 1)
+            assert cut_row(p.blocks) == (brute_cut_row(p) if size else 1)
         whole = Partition.single_block(universe)
-        assert cut_row(whole) == 1  # exactly one 1, in the (U, empty) column
+        assert cut_row(whole.blocks) == 1  # exactly one 1, in the (U, empty) column
         discrete = Partition.singletons(universe)
         columns = 1 << max(0, size - 1)
-        assert cut_row(discrete) == (1 << columns) - 1  # all ones
+        assert cut_row(discrete.blocks) == (1 << columns) - 1  # all ones
 
 
 def test_reduce_subgraphs_examples():
